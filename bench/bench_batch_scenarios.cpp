@@ -10,23 +10,20 @@
 //      counts evaluation jobs that started while another job's sizing
 //      run was still in flight (0 serially, > 0 once workers pipeline),
 //   4. latency — the "first eval" column is the wall-clock until the
-//      first evaluation job *completed*: under priority scheduling a
-//      finished sizing job's evaluations are claimed ahead of still-
-//      queued sizing work (exec::Priority::kEvaluation > kSizing), so
-//      the first usable result lands earlier than under FIFO claims —
-//      measured head-to-head on the paper-suite batch,
-//   5. determinism — every thread count *and both schedules* produce
-//      bit-identical batch reports (the exec-layer contract lifted to
-//      whole batches), shown in the table rather than assumed.
+//      first evaluation job *completed*: a finished sizing job's
+//      evaluations are claimed ahead of still-queued sizing work
+//      (exec::Priority::kEvaluation > kSizing),
+//   5. determinism — every thread count produces bit-identical batch
+//      reports (the exec-layer contract lifted to whole batches), shown
+//      in the table rather than assumed.
 //
 // Everything runs through the socbuf::Session facade (one object owning
 // the executor, the batch-wide solve cache and the registry) — the same
 // entry point socbuf_cli and the experiment drivers use.
-// `--json <file>` switches to the structure-exploitation measurement:
-// cold vs warm-started solves and FIFO vs longest-first submission on
-// the Table 1 budget sweep, written as one JSON document (the
-// perf-trajectory format under BENCH_*.json) — the google-benchmark
-// loop is skipped in that mode.
+// `--json <file>` switches to the scheduling measurement: FIFO vs
+// longest-first submission on the Table 1 budget sweep, written as one
+// JSON document (the perf-trajectory format under BENCH_*.json) — the
+// google-benchmark loop is skipped in that mode.
 #include "exec/executor.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/scenario.hpp"
@@ -137,103 +134,11 @@ void print_batch_scaling() {
         "still in flight (pipelined task graph; 0 in serial execution)\n");
 }
 
-/// The paper-suite batch (both testbenches) at a bench-friendly horizon —
-/// the workload the latency claim is stated on: 5 sizing jobs whose
-/// evaluation replications compete with still-queued sizing work.
-std::vector<ScenarioSpec> paper_suite_specs() {
-    const socbuf::scenario::ScenarioRegistry registry;
-    std::vector<ScenarioSpec> specs = registry.expand("paper-suite");
-    for (ScenarioSpec& spec : specs) {
-        spec.sim.horizon = 1500.0;
-        spec.sim.warmup = 150.0;
-        spec.replications = 3;
-        spec.sizing_iterations = 4;
-    }
-    return specs;
-}
-
-void print_first_eval_latency() {
-    std::printf("\n--- first-evaluation-completion latency: priority vs "
-                "FIFO claims (paper-suite) ---\n");
-    const std::vector<ScenarioSpec> specs = paper_suite_specs();
-
-    // The serial run doubles as the bit-identity reference (scheduling is
-    // moot on a serial executor — tasks run inline at submission — so one
-    // row covers both schedules at threads = 1).
-    BatchReport reference;
-    bool have_reference = false;
-
-    socbuf::util::Table table({"threads", "schedule", "batch [s]",
-                               "first eval [s]", "overlap", "identical"});
-    for (const std::size_t threads : {1UL, 2UL, 4UL}) {
-        for (const bool prioritized : {false, true}) {
-            if (threads == 1 && prioritized) continue;
-            SessionOptions options;
-            options.threads = threads;
-            options.priority_scheduling = prioritized;
-            Session session(options);
-            BatchReport report;
-            const double s = seconds_of([&] { report = session.run(specs); });
-            if (!have_reference) {
-                reference = report;
-                have_reference = true;
-            }
-            table.add_row(
-                {std::to_string(threads),
-                 threads == 1      ? "(serial)"
-                 : prioritized     ? "priority"
-                                   : "fifo",
-                 socbuf::util::format_fixed(s, 3),
-                 socbuf::util::format_fixed(report.first_eval_latency_s, 3),
-                 std::to_string(report.eval_overlap),
-                 identical_runs(report, reference) ? "yes" : "NO"});
-        }
-    }
-    std::printf("%s", table.to_string().c_str());
-    std::printf(
-        "first eval = wall-clock until the first evaluation job completed "
-        "(priority claims evaluations ahead of queued sizing jobs; reports "
-        "are bit-identical either way)\n");
-}
-
-/// The --json measurement: warm starts and longest-first submission on
-/// the Table 1 budget sweep. Warm starts trade bit-identity for fewer
-/// PI/VI iterations (counted); longest-first moves only the schedule.
+/// The --json measurement: longest-first submission on the Table 1
+/// budget sweep. Longest-first moves only the schedule.
 void write_json_report(const std::string& path) {
     namespace sj = socbuf::util;
     const ScenarioSpec spec = sweep_spec();
-
-    auto cold_vs_warm = sj::JsonValue::object();
-    {
-        SessionOptions cold_options;
-        cold_options.threads = 1;
-        Session cold_session(cold_options);
-        BatchReport cold;
-        const double cold_s =
-            seconds_of([&] { cold = cold_session.run(spec); });
-
-        SessionOptions warm_options;
-        warm_options.threads = 1;
-        warm_options.warm_start = true;
-        Session warm_session(warm_options);
-        BatchReport warm;
-        const double warm_s =
-            seconds_of([&] { warm = warm_session.run(spec); });
-
-        cold_vs_warm.set("cold_s", cold_s);
-        cold_vs_warm.set("warm_s", warm_s);
-        cold_vs_warm.set("warm_hits", warm.cache.warm_hits);
-        cold_vs_warm.set("iterations_saved", warm.cache.iterations_saved);
-        cold_vs_warm.set("bytes_resident", warm.cache.bytes_resident);
-        cold_vs_warm.set("identical_results", identical_runs(warm, cold));
-        std::printf("cold vs warm (budgets %ld/%ld/%ld): %.3fs -> %.3fs, "
-                    "%zu warm hits, %zu solver iterations saved, results "
-                    "%s\n",
-                    spec.budgets[0], spec.budgets[1], spec.budgets[2],
-                    cold_s, warm_s, warm.cache.warm_hits,
-                    warm.cache.iterations_saved,
-                    identical_runs(warm, cold) ? "identical" : "DIFFER");
-    }
 
     auto orderings = sj::JsonValue::array();
     for (const std::size_t threads : {2UL, 4UL}) {
@@ -270,7 +175,6 @@ void write_json_report(const std::string& path) {
     auto budgets = sj::JsonValue::array();
     for (const long b : spec.budgets) budgets.push_back(b);
     root.set("budgets", std::move(budgets));
-    root.set("cold_vs_warm", std::move(cold_vs_warm));
     root.set("fifo_vs_longest_first", std::move(orderings));
     std::ofstream out(path);
     out << root.dump(2) << "\n";
@@ -322,7 +226,6 @@ int main(int argc, char** argv) {
         return 0;
     }
     print_batch_scaling();
-    print_first_eval_latency();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

@@ -6,9 +6,10 @@
 #
 #   cmake -DCMD=<exe> "-DARGS=run;figure1;--threads;abc" -P expect_exit2.cmake
 #
-# Optional: -DMATCH=<regex> additionally requires the diagnostic to match
-# (e.g. the JSON path "$.budgetz" a malformed scenario file must be blamed
-# on).
+# Optional: -DMATCH=<regex> requires the diagnostic to match it instead of
+# the generic "invalid|needs" (e.g. the JSON path "$.budgetz" a malformed
+# scenario file must be blamed on, or "unknown option --x" for a flag the
+# CLI does not know).
 execute_process(COMMAND ${CMD} ${ARGS}
                 RESULT_VARIABLE exit_code
                 OUTPUT_VARIABLE out
@@ -18,12 +19,13 @@ if(NOT exit_code EQUAL 2)
             "expected exit code 2 from '${CMD} ${ARGS}', got '${exit_code}'"
             " (stderr: ${err})")
 endif()
-if(NOT err MATCHES "invalid|needs")
+if(DEFINED MATCH)
+    if(NOT err MATCHES "${MATCH}")
+        message(FATAL_ERROR
+                "expected the diagnostic to match '${MATCH}', got: ${err}")
+    endif()
+elseif(NOT err MATCHES "invalid|needs")
     message(FATAL_ERROR
             "expected a diagnostic naming the bad flag on stderr, got:"
             " ${err}")
-endif()
-if(DEFINED MATCH AND NOT err MATCHES "${MATCH}")
-    message(FATAL_ERROR
-            "expected the diagnostic to match '${MATCH}', got: ${err}")
 endif()

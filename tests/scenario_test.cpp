@@ -316,13 +316,12 @@ TEST(BatchRunner, PipelinedEvaluationOverlapsSizing) {
     EXPECT_EQ(normalized.to_json(), serial_report.to_json());
 }
 
-TEST(BatchRunner, PriorityScheduledBatchesMatchFifoBitForBitAtAnyWidth) {
-    // The tentpole contract: priority scheduling (evaluations claimed
-    // ahead of still-queued sizing jobs) moves only the schedule, never
-    // the report. A mixed batch — including a spec that evaluates the
-    // timeout policy with *fanned* calibration sims — must produce
-    // byte-identical JSON under FIFO and priority claims at threads
-    // 1, 2 and 4.
+TEST(BatchRunner, PriorityScheduledBatchesMatchSerialBitForBitAtAnyWidth) {
+    // Priority scheduling (evaluations claimed ahead of still-queued
+    // sizing jobs) moves only the schedule, never the report. A mixed
+    // batch — including a spec that evaluates the timeout policy with
+    // *fanned* calibration sims — must produce byte-identical JSON at
+    // threads 1, 2 and 4, matching the serial reference.
     ss::ScenarioSpec plain = small_figure1();
     plain.name = "prio-plain";
     plain.budgets = {12, 16, 20};
@@ -335,32 +334,22 @@ TEST(BatchRunner, PriorityScheduledBatchesMatchFifoBitForBitAtAnyWidth) {
     timeout.calibration_replications = 3;  // fans inside the sizing job
     const std::vector<ss::ScenarioSpec> specs{plain, timeout};
 
-    ss::BatchOptions fifo_options;
-    fifo_options.priority_scheduling = false;
     socbuf::exec::Executor serial(1);
-    ss::BatchRunner serial_runner(serial, fifo_options);
+    ss::BatchRunner serial_runner(serial);
     const ss::BatchReport reference = serial_runner.run(specs);
     EXPECT_GT(reference.runs[3].timeout_total, 0.0);
 
     for (const std::size_t threads : {1UL, 2UL, 4UL}) {
-        socbuf::exec::Executor fifo_exec(threads);
-        ss::BatchRunner fifo_runner(fifo_exec, fifo_options);
-        ss::BatchReport fifo = fifo_runner.run(specs);
+        socbuf::exec::Executor exec(threads);
+        ss::BatchRunner runner(exec);
+        ss::BatchReport report = runner.run(specs);
 
-        socbuf::exec::Executor prio_exec(threads);
-        ss::BatchRunner prio_runner(prio_exec);  // priorities on (default)
-        ss::BatchReport prio = prio_runner.run(specs);
+        // It evaluated something, so the latency diagnostic is set.
+        EXPECT_GE(report.first_eval_latency_s, 0.0) << "threads=" << threads;
 
-        // Both evaluated something, so the latency diagnostic is set.
-        EXPECT_GE(fifo.first_eval_latency_s, 0.0) << "threads=" << threads;
-        EXPECT_GE(prio.first_eval_latency_s, 0.0) << "threads=" << threads;
-
-        fifo.workers = reference.workers;
-        prio.workers = reference.workers;
-        EXPECT_EQ(fifo.to_json(), reference.to_json())
-            << "fifo threads=" << threads;
-        EXPECT_EQ(prio.to_json(), reference.to_json())
-            << "priority threads=" << threads;
+        report.workers = reference.workers;
+        EXPECT_EQ(report.to_json(), reference.to_json())
+            << "threads=" << threads;
     }
 }
 
@@ -389,23 +378,23 @@ TEST(BatchRunner, FannedCalibrationMatchesTheSerialCalibrationPath) {
     EXPECT_EQ(report.runs[0].timeout_threshold, expected);
 }
 
-TEST(BatchRunner, CacheCapacityBoundsEntriesWithoutChangingResults) {
+TEST(BatchRunner, CacheByteBudgetBoundsEntriesWithoutChangingResults) {
     const ss::ScenarioSpec spec = small_figure1();
     socbuf::exec::Executor serial(1);
 
     ss::BatchRunner unlimited(serial);
     const auto reference = unlimited.run(spec);
     // Precondition for the eviction claim below: the batch has more
-    // distinct subsystem models than the tight capacity.
+    // distinct subsystem models than a quarter of its residency holds.
     ASSERT_GT(reference.cache.misses, 2u);
     EXPECT_EQ(reference.cache.evictions, 0u);
-    EXPECT_EQ(reference.cache_capacity, 0u);
+    EXPECT_EQ(reference.cache_byte_budget, 0u);
 
     ss::BatchOptions tight;
-    tight.cache_capacity = 2;
+    tight.cache_byte_budget = reference.cache.bytes_resident / 4;
     ss::BatchRunner bounded(serial, tight);
     const auto got = bounded.run(spec);
-    EXPECT_EQ(got.cache_capacity, 2u);
+    EXPECT_EQ(got.cache_byte_budget, tight.cache_byte_budget);
     EXPECT_GT(got.cache.evictions, 0u);
     // Eviction costs extra solves, never different answers.
     EXPECT_GE(got.cache.misses, reference.cache.misses);
@@ -567,32 +556,21 @@ TEST(BatchRunner, LongestFirstSubmissionMatchesFifoBitForBit) {
     }
 }
 
-TEST(BatchRunner, WarmStartCountsSeedsWithoutChangingAnswers) {
-    // A budget sweep re-solves structurally identical subsystem CTMDPs
-    // with shifted costs; warm starts must seed those solves (counted in
-    // the report) while landing on the same allocations and losses.
+TEST(BatchReport, DefaultCacheBlockCarriesTheLiveCounters) {
+    // An unbudgeted cache serializes exactly these counters, in this
+    // order; a byte budget adds only its own echo.
     ss::ScenarioSpec sweep = small_figure1();
     sweep.budgets = {12, 14, 16, 18};
-
     socbuf::exec::Executor serial(1);
-    ss::BatchRunner cold_runner(serial);
-    const auto cold = cold_runner.run(sweep);
+    ss::BatchRunner runner(serial);
+    const auto report = runner.run(sweep);
 
-    ss::BatchOptions options;
-    options.warm_start = true;
-    ss::BatchRunner warm_runner(serial, options);
-    const auto warm = warm_runner.run(sweep);
-
-    EXPECT_GT(warm.cache.warm_hits, 0u);
-    expect_identical(warm, cold);
-
-    const auto json = socbuf::util::JsonValue::parse(warm.to_json());
-    EXPECT_TRUE(json.at("solve_cache").contains("warm_hits"));
-    EXPECT_TRUE(json.at("solve_cache").contains("iterations_saved"));
-    EXPECT_TRUE(json.at("solve_cache").contains("bytes_resident"));
+    const auto json = socbuf::util::JsonValue::parse(report.to_json());
+    std::vector<std::string> keys;
+    for (const auto& member : json.at("solve_cache").members())
+        keys.push_back(member.first);
+    EXPECT_EQ(keys, (std::vector<std::string>{"enabled", "hits", "misses",
+                                              "evictions", "hit_rate",
+                                              "bytes_resident"}));
     EXPECT_GT(json.at("solve_cache").at("bytes_resident").as_number(), 0.0);
-
-    // Cold reports never count warm activity.
-    EXPECT_EQ(cold.cache.warm_hits, 0u);
-    EXPECT_EQ(cold.cache.iterations_saved, 0u);
 }

@@ -103,23 +103,6 @@ TEST(Session, ReportsBitIdenticalForAnyThreadCount) {
     }
 }
 
-TEST(Session, FifoSchedulingOptionMatchesPriorityReports) {
-    // The facade surfaces the scheduling knob; like the thread count it
-    // must never show up in the results.
-    const ss::ScenarioSpec spec = small_figure1();
-    Session priority({4});
-    const auto reference = priority.run(spec);
-
-    SessionOptions fifo_options;
-    fifo_options.threads = 4;
-    fifo_options.priority_scheduling = false;
-    Session fifo(fifo_options);
-    auto got = fifo.run(spec);
-    got.eval_overlap = reference.eval_overlap;  // diagnostics
-    got.first_eval_latency_s = reference.first_eval_latency_s;
-    EXPECT_EQ(got.to_json(), reference.to_json());
-}
-
 TEST(Session, RunBatchExpandsBatchPresetsInOrder) {
     Session session({1});
     session.registry().add(small_figure1("batch-a"));
@@ -197,30 +180,23 @@ TEST(Session, DisabledCacheIsHonored) {
     EXPECT_EQ(report.cache.lookups(), 0u);
 }
 
-TEST(Session, WarmStartAndLongestFirstOptionsReachTheBatch) {
+TEST(Session, LongestFirstOffReachesTheBatchWithoutChangingReports) {
+    // Submission order is schedule-only: expansion-order submission must
+    // reproduce the default (longest-first) report bit for bit.
     ss::ScenarioSpec sweep = small_figure1("session-sweep");
     sweep.budgets = {12, 14, 16, 18};
 
-    SessionOptions cold_options;
-    cold_options.threads = 1;
-    Session cold_session(cold_options);
-    const auto cold = cold_session.run(sweep);
-    EXPECT_EQ(cold.cache.warm_hits, 0u);
+    Session reference_session({1});
+    const auto reference = reference_session.run(sweep);
 
-    SessionOptions warm_options;
-    warm_options.threads = 1;
-    warm_options.warm_start = true;
-    warm_options.longest_first = false;
-    Session warm_session(warm_options);
-    const auto warm = warm_session.run(sweep);
-    EXPECT_GT(warm.cache.warm_hits, 0u);
-
-    // Seeded solves land on the same allocations and losses here.
-    ASSERT_EQ(warm.runs.size(), cold.runs.size());
-    for (std::size_t i = 0; i < warm.runs.size(); ++i) {
-        EXPECT_EQ(warm.runs[i].resized_alloc, cold.runs[i].resized_alloc);
-        EXPECT_EQ(warm.runs[i].post_loss, cold.runs[i].post_loss);
-    }
+    SessionOptions in_order;
+    in_order.threads = 4;
+    in_order.longest_first = false;
+    Session in_order_session(in_order);
+    auto got = in_order_session.run(sweep);
+    ASSERT_EQ(got.runs.size(), reference.runs.size());
+    got.workers = reference.workers;
+    EXPECT_EQ(got.to_json(), reference.to_json());
 }
 
 TEST(Session, MixedBatchWithViRungModelsIsThreadInvariant) {
@@ -248,24 +224,20 @@ TEST(Session, MixedBatchWithViRungModelsIsThreadInvariant) {
 }
 
 TEST(Session, GaussSeidelSessionIsThreadInvariant) {
-    // The session-level Gauss–Seidel opt-in: a different sweep (and a
+    // The per-spec Gauss–Seidel opt-in: a different sweep (and a
     // different report trajectory is allowed vs the default), but the
     // red-black phases keep the determinism contract, so the GS report
     // too must be bit-identical at every thread count.
-    SessionOptions gs_serial;
-    gs_serial.threads = 1;
-    gs_serial.gauss_seidel = true;
-    Session serial(gs_serial);
-    serial.registry().add(vi_rung_np());
+    ss::ScenarioSpec gs_spec = vi_rung_np();
+    gs_spec.gauss_seidel = true;
+    Session serial({1});
+    serial.registry().add(gs_spec);
     const auto reference = serial.run("np-vi-rung");
     ASSERT_EQ(reference.runs.size(), 1u);
     EXPECT_GT(reference.runs[0].vi_solves, 0u);
     for (const std::size_t threads : {2UL, 4UL}) {
-        SessionOptions gs_options;
-        gs_options.threads = threads;
-        gs_options.gauss_seidel = true;
-        Session parallel(gs_options);
-        parallel.registry().add(vi_rung_np());
+        Session parallel({threads});
+        parallel.registry().add(gs_spec);
         auto got = parallel.run("np-vi-rung");
         got.workers = reference.workers;
         got.eval_overlap = reference.eval_overlap;

@@ -124,19 +124,33 @@ sm::CtmdpModel unsolvable_model() {
     return m;
 }
 
+/// Approximate resident bytes of one solved entry for `model`, measured on
+/// an unbudgeted cache (the accounting is a pure function of the entry's
+/// key and solution, so the figure carries over to any other cache).
+std::size_t entry_bytes(const sm::CtmdpModel& model,
+                        const sm::DispatchOptions& opts = {}) {
+    sm::SolverRegistry registry;
+    sm::SolveCache probe;
+    (void)probe.solve(registry, model, opts);
+    return probe.stats().bytes_resident;
+}
+
 }  // namespace
 
-TEST(SolveCache, EvictsLeastRecentlyUsedBeyondCapacity) {
+TEST(SolveCache, EvictsLeastRecentlyUsedBeyondBudget) {
     sm::SolverRegistry registry;
-    sm::SolveCache cache(2);
-    EXPECT_EQ(cache.capacity(), 2u);
     const sm::DispatchOptions opts;
     const auto model_a = queue_model(3, 0.7);
     const auto model_b = queue_model(4, 0.7);
     const auto model_c = queue_model(5, 0.7);
+    // About two entries: A with either of B or C fits (C is the larger),
+    // all three never do.
+    const std::size_t budget = entry_bytes(model_a) + entry_bytes(model_c);
+    sm::SolveCache cache(budget);
+    EXPECT_EQ(cache.byte_budget(), budget);
 
     (void)cache.solve(registry, model_a, opts);  // A
-    (void)cache.solve(registry, model_b, opts);  // B A — at capacity
+    (void)cache.solve(registry, model_b, opts);  // B A — within budget
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.stats().evictions, 0u);
 
@@ -159,14 +173,17 @@ TEST(SolveCache, EvictsLeastRecentlyUsedBeyondCapacity) {
 }
 
 TEST(SolveCache, JustSolvedEntryIsNeverTheEvictionVictim) {
-    // At the tightest budget the freshly completed entry must stay
-    // resident (the LRU victim is taken from the back, never the front),
-    // otherwise every solve would evict itself and the cache could never
-    // serve a hit.
+    // A one-byte budget fits no entry at all, yet the freshly completed
+    // entry must stay resident (the LRU victim is taken from the back,
+    // never the front; residency transiently exceeds the budget — the
+    // documented best-effort trade), otherwise every solve would evict
+    // itself and the cache could never serve a hit.
     sm::SolverRegistry registry;
     sm::SolveCache cache(1);
     const sm::DispatchOptions opts;
     (void)cache.solve(registry, queue_model(3, 0.7), opts);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_GT(cache.stats().bytes_resident, cache.byte_budget());
     (void)cache.solve(registry, queue_model(4, 0.7), opts);  // evicts first
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(cache.stats().evictions, 1u);
@@ -176,12 +193,16 @@ TEST(SolveCache, JustSolvedEntryIsNeverTheEvictionVictim) {
     EXPECT_EQ(cache.stats().hits, 1u);
 }
 
-TEST(SolveCache, CapacityCoveringAllKeysKeepsCountersSchedulingIndependent) {
-    // With capacity >= distinct keys nothing is ever evicted, so the
-    // unlimited-cache counter contract holds unchanged under concurrency.
+TEST(SolveCache, BudgetCoveringAllKeysKeepsCountersSchedulingIndependent) {
+    // With a byte budget that holds every distinct key nothing is ever
+    // evicted, so the unlimited-cache counter contract holds unchanged
+    // under concurrency.
     sm::SolverRegistry registry;
-    sm::SolveCache cache(8);
     const sm::DispatchOptions opts;
+    std::size_t all_entries = 0;
+    for (std::size_t k = 0; k < 8; ++k)
+        all_entries += entry_bytes(queue_model(3 + k, 0.8));
+    sm::SolveCache cache(all_entries);
     socbuf::exec::Executor exec(4);
     const auto gains = exec.map(32, [&](std::size_t i) {
         const auto model = queue_model(3 + i % 8, 0.8);
@@ -245,8 +266,8 @@ TEST(SolveCache, ConcurrentFailuresAllPropagateWithoutHangingWaiters) {
     EXPECT_EQ(cache.stats().hits, 0u);
 }
 
-TEST(SolveCache, CapacityOneCountersStayConsistentUnderFailuresAndWaiters) {
-    // The nastiest corner the counters have: capacity == 1 (every
+TEST(SolveCache, OneByteBudgetCountersStayConsistentUnderFailuresAndWaiters) {
+    // The nastiest corner the counters have: a one-byte budget (every
     // completing solve tries to evict), a key every solver rejects (the
     // failure path runs constantly, with waiters pinning the failed
     // slot), and solvable keys churning through the single budgeted
@@ -323,62 +344,12 @@ TEST(SolveCache, IsSafeToShareAcrossWorkers) {
     for (std::size_t i = 8; i < 32; ++i) EXPECT_EQ(gains[i], gains[i % 8]);
 }
 
-TEST(ModelStructureFingerprint, IgnoresRatesAndCostsButNotTopology) {
-    // Rate/cost changes keep the structure key (that is what makes a
-    // budget sweep warm-startable); topology changes break it.
-    const std::string key = sm::model_structure_fingerprint(queue_model(4, 0.8));
-    EXPECT_EQ(sm::model_structure_fingerprint(queue_model(4, 1.6)), key);
-    EXPECT_NE(sm::model_structure_fingerprint(queue_model(5, 0.8)), key);
-
-    auto rewired = queue_model(4, 0.8);
-    rewired.add_state("extra");
-    EXPECT_NE(sm::model_structure_fingerprint(rewired), key);
-}
-
-TEST(SolveCache, WarmStartSeedsStructurallyIdenticalSolves) {
-    sm::SolverRegistry registry;
-    sm::SolveCache cache(0, /*warm_start=*/true);
-    EXPECT_TRUE(cache.warm_start());
-    sm::DispatchOptions opts;
-    opts.choice = sm::SolverChoice::kPolicyIteration;
-
-    // Two different rates, one structure: the second solve is a cache
-    // miss (different fingerprint) but a warm hit (same structure), and
-    // the seeded solve still lands on the reference answer.
-    const auto cold = cache.solve(registry, queue_model(6, 0.8), opts);
-    EXPECT_EQ(cache.stats().warm_hits, 0u);
-    const auto warm = cache.solve(registry, queue_model(6, 0.82), opts);
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_EQ(cache.stats().warm_hits, 1u);
-
-    sm::SolverRegistry fresh;
-    const auto direct = fresh.solve(queue_model(6, 0.82), opts);
-    EXPECT_NEAR(warm.gain, direct.gain, 1e-9);
-    EXPECT_EQ(warm.policy.mode().choices(), direct.policy.mode().choices());
-
-    // Neighbouring rates share the optimal policy here, so the seeded PI
-    // run converges with fewer updates than the cold reference run.
-    EXPECT_LE(warm.iterations, direct.iterations);
-    EXPECT_EQ(cache.stats().iterations_saved,
-              direct.iterations - warm.iterations);
-}
-
-TEST(SolveCache, WarmStartOffNeverCountsWarmHits) {
-    sm::SolverRegistry registry;
-    sm::SolveCache cache;  // default: warm starts off
-    EXPECT_FALSE(cache.warm_start());
-    const sm::DispatchOptions opts;
-    (void)cache.solve(registry, queue_model(6, 0.8), opts);
-    (void)cache.solve(registry, queue_model(6, 0.82), opts);
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_EQ(cache.stats().warm_hits, 0u);
-    EXPECT_EQ(cache.stats().iterations_saved, 0u);
-}
-
 TEST(SolveCache, BytesResidentTracksEntriesAcrossEvictionAndClear) {
     sm::SolverRegistry registry;
-    sm::SolveCache cache(2);
     const sm::DispatchOptions opts;
+    // Room for the first two entries below, not for a third.
+    sm::SolveCache cache(entry_bytes(queue_model(3, 0.7)) +
+                         entry_bytes(queue_model(9, 0.7)));
     EXPECT_EQ(cache.stats().bytes_resident, 0u);
 
     (void)cache.solve(registry, queue_model(3, 0.7), opts);
@@ -394,7 +365,7 @@ TEST(SolveCache, BytesResidentTracksEntriesAcrossEvictionAndClear) {
     (void)cache.solve(registry, queue_model(3, 0.7), opts);
     EXPECT_EQ(cache.stats().bytes_resident, two);
 
-    // Eviction at capacity releases the victim's bytes.
+    // Eviction over budget releases the victim's bytes.
     (void)cache.solve(registry, queue_model(4, 0.7), opts);
     EXPECT_EQ(cache.stats().evictions, 1u);
     const std::size_t after_evict = cache.stats().bytes_resident;
@@ -408,28 +379,18 @@ TEST(SolveCache, BytesResidentTracksEntriesAcrossEvictionAndClear) {
 
     cache.clear();
     EXPECT_EQ(cache.stats().bytes_resident, 0u);
-    EXPECT_EQ(cache.stats().warm_hits, 0u);
-    EXPECT_EQ(cache.stats().iterations_saved, 0u);
 }
 
 TEST(SolveCache, ByteBudgetEvictsLruUntilBackUnderBudget) {
-    // Calibrate: one entry's approximate footprint, from an unbudgeted
-    // cache (the accounting is a pure function of the entry contents).
     sm::SolverRegistry registry;
     const sm::DispatchOptions opts;
-    std::size_t one_entry = 0;
-    {
-        sm::SolveCache probe;
-        (void)probe.solve(registry, queue_model(4, 0.7), opts);
-        one_entry = probe.stats().bytes_resident;
-        ASSERT_GT(one_entry, 0u);
-    }
+    const std::size_t one_entry = entry_bytes(queue_model(4, 0.7));
+    ASSERT_GT(one_entry, 0u);
 
     // A budget that fits one same-sized entry comfortably but never two:
     // the second insert must push the first (LRU) one out.
-    sm::SolveCache cache(0, false, one_entry + one_entry / 2);
+    sm::SolveCache cache(one_entry + one_entry / 2);
     EXPECT_EQ(cache.byte_budget(), one_entry + one_entry / 2);
-    EXPECT_EQ(cache.capacity(), 0u);  // entry-count budget stays unlimited
     (void)cache.solve(registry, queue_model(4, 0.7), opts);
     EXPECT_EQ(cache.stats().evictions, 0u);
     (void)cache.solve(registry, queue_model(4, 0.9), opts);
@@ -444,36 +405,4 @@ TEST(SolveCache, ByteBudgetEvictsLruUntilBackUnderBudget) {
     EXPECT_EQ(registry.stats().total_solves(), solves);
     (void)cache.solve(registry, queue_model(4, 0.7), opts);
     EXPECT_EQ(registry.stats().total_solves(), solves + 1);
-}
-
-TEST(SolveCache, ByteBudgetSparesTheJustSolvedEntry) {
-    // A budget too small for even one entry must behave like the
-    // capacity-1 rule: the freshly completed entry stays resident
-    // (residency transiently exceeds the budget — the documented
-    // best-effort trade) so the cache can still serve hits.
-    sm::SolverRegistry registry;
-    const sm::DispatchOptions opts;
-    sm::SolveCache cache(0, false, 1);  // one byte: nothing "fits"
-    (void)cache.solve(registry, queue_model(4, 0.7), opts);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_GT(cache.stats().bytes_resident, cache.byte_budget());
-    const std::size_t solves = registry.stats().total_solves();
-    (void)cache.solve(registry, queue_model(4, 0.7), opts);
-    EXPECT_EQ(registry.stats().total_solves(), solves);
-    EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(SolveCache, ByteBudgetComposesWithEntryCapacity) {
-    // Either budget being over triggers eviction: a roomy byte budget
-    // with capacity 1 still evicts by count, and both accessors report
-    // their own limit.
-    sm::SolverRegistry registry;
-    const sm::DispatchOptions opts;
-    sm::SolveCache cache(1, false, 1 << 30);
-    EXPECT_EQ(cache.capacity(), 1u);
-    EXPECT_EQ(cache.byte_budget(), std::size_t{1} << 30);
-    (void)cache.solve(registry, queue_model(3, 0.7), opts);
-    (void)cache.solve(registry, queue_model(4, 0.7), opts);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
 }
