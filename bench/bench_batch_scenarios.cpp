@@ -25,6 +25,7 @@
 // JSON document (the perf-trajectory format under BENCH_*.json) — the
 // google-benchmark loop is skipped in that mode.
 #include "exec/executor.hpp"
+#include "exec/thread_pool.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/scenario.hpp"
 #include "session/session.hpp"
@@ -172,6 +173,7 @@ void write_json_report(const std::string& path) {
 
     auto root = sj::JsonValue::object();
     root.set("bench", std::string("batch_scenarios"));
+    root.set("hardware_threads", socbuf::exec::resolve_thread_count(0));
     auto budgets = sj::JsonValue::array();
     for (const long b : spec.budgets) budgets.push_back(b);
     root.set("budgets", std::move(budgets));

@@ -6,15 +6,16 @@
 // LP -> PI -> VI by model size.
 //
 // `--json <file>` switches to the structure-exploitation measurement:
-// dense vs banded policy-iteration evaluation per cap, and the VI sweep
-// variants at scale, written as one JSON document (the perf-trajectory
-// format under BENCH_*.json) — the google-benchmark loop is skipped in
-// that mode.
+// dense vs banded policy-iteration evaluation per cap, the VI sweep
+// variants at scale, and PI vs VI around kAuto's PI/VI boundary, written
+// as one JSON document (the perf-trajectory format under BENCH_*.json) —
+// the google-benchmark loop is skipped in that mode.
 #include "arch/presets.hpp"
 #include "core/allocation.hpp"
 #include "core/subsystem_model.hpp"
 #include "ctmdp/solver.hpp"
 #include "exec/executor.hpp"
+#include "exec/thread_pool.hpp"
 #include "split/splitter.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
@@ -225,10 +226,54 @@ void write_json_report(const std::string& path) {
         }
     }
 
+    // PI vs serial Jacobi VI around kAuto's PI/VI boundary
+    // (kDefaultPiStateLimit), both as the engine dispatches them — where
+    // the crossover falls with the current kernels. Measured only: moving
+    // the rung changes report bits, so a retune is its own change.
+    auto pi_vi_crossover = sj::JsonValue::array();
+    {
+        struct CrossoverCase {
+            const char* label;
+            socbuf::ctmdp::CtmdpModel model;
+        };
+        std::vector<CrossoverCase> cases;
+        cases.push_back({"figure1-bus-b cap=6", make_model(6).model()});
+        cases.push_back({"figure1-bus-b cap=7", make_model(7).model()});
+        cases.push_back({"figure1-bus-b cap=8", make_model(8).model()});
+        cases.push_back({"figure1-bus-b cap=9", make_model(9).model()});
+        cases.push_back({"figure1-bus-b cap=11", make_model(11).model()});
+        cases.push_back({"np-ingress pe=4 cap=2", make_np_cluster_model(4, 2)});
+        cases.push_back({"np-ingress pe=4 cap=3", make_np_cluster_model(4, 3)});
+        cases.push_back({"np-ingress pe=6 cap=2", make_np_cluster_model(6, 2)});
+        for (const auto& c : cases) {
+            const auto& model = c.model;
+            auto pi = forced(SolverChoice::kPolicyIteration);
+            auto vi = forced(SolverChoice::kValueIteration);
+            vi.solver.vi.tolerance = 1e-7;  // the engine's VI rung
+            vi.solver.vi.max_iterations = 50000;
+            const double pi_s = best_solve_seconds(model, pi, 3);
+            const double vi_s = best_solve_seconds(model, vi, 3);
+            auto row = sj::JsonValue::object();
+            row.set("label", std::string(c.label));
+            row.set("states", model.state_count());
+            row.set("bandwidth", model.bandwidth());
+            row.set("pi_s", pi_s);
+            row.set("vi_s", vi_s);
+            row.set("vi_speedup", vi_s > 0.0 ? pi_s / vi_s : 0.0);
+            pi_vi_crossover.push_back(std::move(row));
+            std::printf("%s (%zu states, bw %zu): PI %.4fs, VI %.4fs "
+                        "(VI %.2fx)\n",
+                        c.label, model.state_count(), model.bandwidth(),
+                        pi_s, vi_s, vi_s > 0.0 ? pi_s / vi_s : 0.0);
+        }
+    }
+
     auto root = sj::JsonValue::object();
     root.set("bench", std::string("ctmdp_solvers"));
+    root.set("hardware_threads", socbuf::exec::resolve_thread_count(0));
     root.set("dense_vs_banded_pi", std::move(dense_vs_banded));
     root.set("vi_scaling", std::move(vi_scaling));
+    root.set("pi_vi_crossover", std::move(pi_vi_crossover));
     std::ofstream out(path);
     out << root.dump(2) << "\n";
     std::printf("wrote %s\n", path.c_str());

@@ -19,6 +19,7 @@
 // `--json <file>` writes the structured measurement for the
 // perf-trajectory format under BENCH_*.json and skips the
 // google-benchmark loop.
+#include "exec/thread_pool.hpp"
 #include "scenario/scenario.hpp"
 #include "session/session.hpp"
 #include "util/json.hpp"
@@ -165,6 +166,7 @@ void write_json_report(const std::string& path) {
     }
     auto root = sj::JsonValue::object();
     root.set("bench", std::string("insertion_search"));
+    root.set("hardware_threads", socbuf::exec::resolve_thread_count(0));
     root.set("scenarios", std::move(scenarios));
     std::ofstream out(path);
     out << root.dump(2) << "\n";

@@ -4,78 +4,180 @@
 #include "ctmdp/occupation.hpp"
 #include "exec/executor.hpp"
 #include "util/contracts.hpp"
+#include "util/numeric.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 
 namespace socbuf::ctmdp {
 
 namespace {
 
-/// Precomputed uniformized model: per pair, per-step cost, stay
-/// probability, and the jump probabilities in compressed-row (CSR) form —
-/// one flat target/probability array indexed by per-pair offsets. The
-/// flat arrays keep the per-pair append order of the old nested vectors,
-/// so the Bellman fold below visits identical values in identical order
-/// (bit-identical results) while the sweep streams three contiguous
-/// arrays.
+/// Precomputed uniformized model in prefix-shared 32-bit CSR form. Pairs
+/// are stored state-major: state s owns pairs [pair_begin[s],
+/// pair_begin[s + 1]), and pair p is action p - pair_begin[s]. Per pair:
+/// the per-step cost, the stay probability, and its jump entries (target,
+/// probability) in the model's transition order, self-loops and zero
+/// rates dropped.
+///
+/// Subsystem models give every action of a state the same cost and the
+/// same arrival jumps, then append one service jump, so consecutive pairs
+/// repeat a prefix of each other's entries. shared[p] counts the leading
+/// entries pair p repeats from pair p - 1 of the same state — only when
+/// the step cost, the stay probability and every entry are bit-equal —
+/// and the CSR [jump_offset[p], jump_offset[p + 1]) holds only the
+/// suffix after them. The Bellman fold keeps a per-state buffer of
+/// running sums (partial_size doubles): a pair resumes from
+/// partial[shared[p]], which holds the same double its own full fold
+/// would reach there, and continues left to right — so every value is
+/// bit-identical to the plain per-pair fold. With no shared prefixes
+/// (shared[p] == 0 everywhere) the loop is exactly that plain fold.
 struct Uniformized {
     double lambda = 1.0;
+    std::vector<std::uint32_t> pair_begin;
     std::vector<double> step_cost;
     std::vector<double> stay;
-    // CSR over pairs: entries [jump_offset[p], jump_offset[p + 1]).
-    std::vector<std::size_t> jump_offset;
-    std::vector<std::size_t> jump_target;
+    std::vector<std::uint32_t> shared;
+    std::vector<std::uint32_t> jump_offset;
+    std::vector<std::uint32_t> jump_target;
     std::vector<double> jump_prob;
+    std::size_t partial_size = 1;  // longest pair's entry count + 1
+
+    [[nodiscard]] std::size_t state_count() const {
+        return pair_begin.size() - 1;
+    }
 };
 
+/// Bit-pattern equality: +0.0 and -0.0 compare equal under ==, but they
+/// are different addends, so prefix sharing must not merge them.
+bool same_bits(double a, double b) {
+    std::uint64_t x = 0;
+    std::uint64_t y = 0;
+    std::memcpy(&x, &a, sizeof x);
+    std::memcpy(&y, &b, sizeof y);
+    return x == y;
+}
+
 Uniformized uniformize(const CtmdpModel& model) {
+    // Every stored index is below one of these two counts (targets are
+    // below the state count, which validate() bounds by the pair count),
+    // so the casts below cannot wrap once both fit.
+    const std::uint32_t n_pairs =
+        util::checked_u32(model.pair_count(), "state-action pair");
+    const std::uint32_t n_transitions =
+        util::checked_u32(model.transition_count(), "transition");
+
     Uniformized u;
     // A margin keeps every self-loop probability strictly positive, which
     // makes the uniformized chain aperiodic (required for RVI convergence).
     u.lambda = std::max(model.max_exit_rate(), 1e-12) * 1.05 + 1e-9;
-    const std::size_t n_pairs = model.pair_count();
+    const std::size_t n = model.state_count();
+    u.pair_begin.resize(n + 1);
     u.step_cost.resize(n_pairs);
     u.stay.resize(n_pairs);
-    u.jump_offset.assign(n_pairs + 1, 0);
-    u.jump_target.reserve(model.transition_count());
-    u.jump_prob.reserve(model.transition_count());
-    for (std::size_t p = 0; p < n_pairs; ++p) {
-        const std::size_t s = model.pair_state(p);
-        const std::size_t a = model.pair_action(p);
-        const Action& act = model.action(s, a);
-        u.step_cost[p] = act.cost / u.lambda;
-        double move = 0.0;
-        for (const auto& t : act.transitions) {
+    u.shared.resize(n_pairs);
+    u.jump_offset.assign(std::size_t{n_pairs} + 1, 0);
+
+    // One pair's full entry list, self-loops and zero rates dropped.
+    std::vector<std::uint32_t> target;
+    std::vector<double> prob;
+    const auto entries = [&](std::size_t s, std::size_t a) {
+        target.clear();
+        prob.clear();
+        for (const auto& t : model.action(s, a).transitions) {
             if (t.target == s || t.rate <= 0.0) continue;
-            u.jump_target.push_back(t.target);
-            u.jump_prob.push_back(t.rate / u.lambda);
-            move += t.rate / u.lambda;
+            target.push_back(static_cast<std::uint32_t>(t.target));
+            prob.push_back(t.rate / u.lambda);
         }
-        u.jump_offset[p + 1] = u.jump_target.size();
-        u.stay[p] = 1.0 - move;
-        SOCBUF_ASSERT(u.stay[p] > 0.0);
+    };
+
+    // Pass 1: per-pair terms and shared-prefix lengths, which size the
+    // suffix CSR exactly (no slack held through the solve).
+    std::vector<std::uint32_t> prev_target;
+    std::vector<double> prev_prob;
+    std::uint32_t p = 0;
+    for (std::size_t s = 0; s < n; ++s) {
+        u.pair_begin[s] = p;
+        for (std::size_t a = 0; a < model.action_count(s); ++a, ++p) {
+            entries(s, a);
+            u.step_cost[p] = model.action(s, a).cost / u.lambda;
+            double move = 0.0;
+            for (const double q : prob) move += q;
+            u.stay[p] = 1.0 - move;
+            SOCBUF_ASSERT(u.stay[p] > 0.0);
+
+            std::size_t shared = 0;
+            if (a > 0 && same_bits(u.step_cost[p], u.step_cost[p - 1]) &&
+                same_bits(u.stay[p], u.stay[p - 1])) {
+                const std::size_t limit =
+                    std::min(target.size(), prev_target.size());
+                while (shared < limit &&
+                       target[shared] == prev_target[shared] &&
+                       same_bits(prob[shared], prev_prob[shared]))
+                    ++shared;
+            }
+            u.shared[p] = static_cast<std::uint32_t>(shared);
+            u.jump_offset[std::size_t{p} + 1] =
+                u.jump_offset[p] +
+                static_cast<std::uint32_t>(target.size() - shared);
+            u.partial_size = std::max(u.partial_size, target.size() + 1);
+            std::swap(prev_target, target);
+            std::swap(prev_prob, prob);
+        }
+    }
+    u.pair_begin[n] = p;
+    SOCBUF_ASSERT(u.jump_offset[n_pairs] <= n_transitions);
+
+    // Pass 2: each pair's unshared suffix.
+    u.jump_target.resize(u.jump_offset[n_pairs]);
+    u.jump_prob.resize(u.jump_offset[n_pairs]);
+    for (std::size_t s = 0; s < n; ++s) {
+        for (std::uint32_t q = u.pair_begin[s]; q < u.pair_begin[s + 1];
+             ++q) {
+            entries(s, q - u.pair_begin[s]);
+            std::copy(target.begin() + u.shared[q], target.end(),
+                      u.jump_target.begin() + u.jump_offset[q]);
+            std::copy(prob.begin() + u.shared[q], prob.end(),
+                      u.jump_prob.begin() + u.jump_offset[q]);
+        }
     }
     return u;
+}
+
+/// Pair p's jump fold over the values in `h`: resumes at
+/// partial[shared[p]] when p shares a prefix with the pair before it,
+/// else starts from `base`, and records each new running sum in
+/// `partial` (u.partial_size doubles) for the pairs after it.
+inline double fold_jumps(const Uniformized& u, const linalg::Vector& h,
+                         std::uint32_t p, double base, double* partial) {
+    std::uint32_t j = u.shared[p];
+    double value = j == 0 ? base : partial[j];
+    for (std::uint32_t k = u.jump_offset[p]; k < u.jump_offset[p + 1]; ++k) {
+        value += u.jump_prob[k] * h[u.jump_target[k]];
+        partial[++j] = value;
+    }
+    return value;
 }
 
 /// One state's Bellman minimization over the values in `h`. The action
 /// scan and jump fold run in the model's pair order — the fold order every
 /// sweep variant and thread count shares.
-inline void bellman_min(const CtmdpModel& model, const Uniformized& u,
-                        const linalg::Vector& h, std::size_t s,
-                        double& best_out, std::size_t& action_out) {
+inline void bellman_min(const Uniformized& u, const linalg::Vector& h,
+                        std::size_t s, double* partial, double& best_out,
+                        std::size_t& action_out) {
     double best = std::numeric_limits<double>::infinity();
     std::size_t best_a = 0;
-    for (std::size_t a = 0; a < model.action_count(s); ++a) {
-        const std::size_t p = model.pair_index(s, a);
-        double value = u.step_cost[p] + u.stay[p] * h[s];
-        for (std::size_t k = u.jump_offset[p]; k < u.jump_offset[p + 1]; ++k)
-            value += u.jump_prob[k] * h[u.jump_target[k]];
+    const std::uint32_t first = u.pair_begin[s];
+    const std::uint32_t last = u.pair_begin[s + 1];
+    for (std::uint32_t p = first; p < last; ++p) {
+        const double value =
+            fold_jumps(u, h, p, u.step_cost[p] + u.stay[p] * h[s], partial);
         if (value < best) {
             best = value;
-            best_a = a;
+            best_a = p - first;
         }
     }
     best_out = best;
@@ -95,25 +197,24 @@ inline void bellman_min(const CtmdpModel& model, const Uniformized& u,
 /// point are unchanged; only the approach is faster. The uniformization
 /// margin makes `stay` large exactly for low-exit states, which is where
 /// the acceleration pays. Degenerate all-self-loop actions (stay == 1)
-/// fall back to the explicit update. Returns h_a, not th_a.
-inline void bellman_min_implicit(const CtmdpModel& model,
-                                 const Uniformized& u,
+/// fall back to the explicit update. Returns h_a, not th_a. The jump
+/// fold starts from the bare step cost here.
+inline void bellman_min_implicit(const Uniformized& u,
                                  const linalg::Vector& h, std::size_t s,
-                                 double g, double& best_out,
+                                 double g, double* partial, double& best_out,
                                  std::size_t& action_out) {
     double best = std::numeric_limits<double>::infinity();
     std::size_t best_a = 0;
-    for (std::size_t a = 0; a < model.action_count(s); ++a) {
-        const std::size_t p = model.pair_index(s, a);
-        double value = u.step_cost[p];
-        for (std::size_t k = u.jump_offset[p]; k < u.jump_offset[p + 1]; ++k)
-            value += u.jump_prob[k] * h[u.jump_target[k]];
+    const std::uint32_t first = u.pair_begin[s];
+    const std::uint32_t last = u.pair_begin[s + 1];
+    for (std::uint32_t p = first; p < last; ++p) {
+        double value = fold_jumps(u, h, p, u.step_cost[p], partial);
         const double move = 1.0 - u.stay[p];
         value = move > 1e-12 ? (value - g) / move
                              : value + u.stay[p] * h[s] - g;
         if (value < best) {
             best = value;
-            best_a = a;
+            best_a = p - first;
         }
     }
     best_out = best;
@@ -127,9 +228,9 @@ inline void bellman_min_implicit(const CtmdpModel& model,
 /// serial body(0, whole-range) call that writes slot 0 only.
 constexpr std::size_t kSweepChunk = 256;
 
-ViResult jacobi_rvi(const CtmdpModel& model, const Uniformized& u,
-                    const ViOptions& options, exec::Executor* executor) {
-    const std::size_t n = model.state_count();
+ViResult jacobi_rvi(const Uniformized& u, const ViOptions& options,
+                    exec::Executor* executor) {
+    const std::size_t n = u.state_count();
 
     linalg::Vector h(n, 0.0);
     linalg::Vector th(n, 0.0);
@@ -137,11 +238,15 @@ ViResult jacobi_rvi(const CtmdpModel& model, const Uniformized& u,
 
     const std::size_t chunks = (n + kSweepChunk - 1) / kSweepChunk;
     std::vector<double> chunk_lo(chunks), chunk_hi(chunks);
+    // One running-sum scratch slot per chunk, so the sweep never allocates.
+    std::vector<double> partials(chunks * u.partial_size);
     const auto sweep = [&](std::size_t lo_s, std::size_t hi_s) {
         double lo = std::numeric_limits<double>::infinity();
         double hi = -lo;
+        double* partial =
+            partials.data() + lo_s / kSweepChunk * u.partial_size;
         for (std::size_t s = lo_s; s < hi_s; ++s) {
-            bellman_min(model, u, h, s, th[s], greedy[s]);
+            bellman_min(u, h, s, partial, th[s], greedy[s]);
             const double d = th[s] - h[s];
             lo = std::min(lo, d);
             hi = std::max(hi, d);
@@ -231,10 +336,9 @@ ViResult jacobi_rvi(const CtmdpModel& model, const Uniformized& u,
 /// pre-phase snapshot, then write. That makes the sweep deterministic for
 /// any worker count — the in-place speedup comes only from phase 2
 /// reading phase 1's results.
-ViResult gauss_seidel_rvi(const CtmdpModel& model, const Uniformized& u,
-                          const ViOptions& options,
+ViResult gauss_seidel_rvi(const Uniformized& u, const ViOptions& options,
                           exec::Executor* executor) {
-    const std::size_t n = model.state_count();
+    const std::size_t n = u.state_count();
     const std::size_t ref = options.reference_state;
     const std::size_t ref_parity = ref % 2;
 
@@ -253,6 +357,9 @@ ViResult gauss_seidel_rvi(const CtmdpModel& model, const Uniformized& u,
     const std::size_t chunks =
         max_phase == 0 ? 1 : (max_phase + kSweepChunk - 1) / kSweepChunk;
     std::vector<double> chunk_delta(chunks, 0.0);
+    // One running-sum scratch slot per chunk; slot 0 also serves the
+    // reference state's serial Bellman step.
+    std::vector<double> partials(chunks * u.partial_size);
     const auto fan = [&](std::size_t count,
                          const std::function<void(std::size_t, std::size_t)>&
                              body) {
@@ -265,19 +372,25 @@ ViResult gauss_seidel_rvi(const CtmdpModel& model, const Uniformized& u,
     ViResult out;
     double g = 0.0;
     double g_prev = std::numeric_limits<double>::infinity();
+    // One phase's Bellman pass: candidate biases from the current h and g.
+    const auto bellman_phase = [&](const std::vector<std::size_t>& phase) {
+        fan(phase.size(), [&](std::size_t lo, std::size_t hi) {
+            double* partial =
+                partials.data() + lo / kSweepChunk * u.partial_size;
+            for (std::size_t i = lo; i < hi; ++i) {
+                const std::size_t s = phase[i];
+                bellman_min_implicit(u, h, s, g, partial, th[s], greedy[s]);
+            }
+        });
+    };
     for (std::size_t it = 0; it < options.max_iterations; ++it) {
         // The sweep's gain estimate: the explicit Bellman value at the
         // pinned reference state, from the pre-sweep h alone.
         std::size_t ref_action = 0;
-        bellman_min(model, u, h, ref, g, ref_action);
+        bellman_min(u, h, ref, partials.data(), g, ref_action);
         // Phase 1 Bellman: reads only the pre-sweep h and g; th holds
         // the candidate bias (bellman_min_implicit returns h_a directly).
-        fan(phase1.size(), [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                const std::size_t s = phase1[i];
-                bellman_min_implicit(model, u, h, s, g, th[s], greedy[s]);
-            }
-        });
+        bellman_phase(phase1);
         // Phase 1 write-back: h(s) <- candidate, tracking the sup-norm
         // step per chunk (max folds are order-exact).
         std::fill(chunk_delta.begin(), chunk_delta.end(), 0.0);
@@ -296,12 +409,7 @@ ViResult gauss_seidel_rvi(const CtmdpModel& model, const Uniformized& u,
         // Phase 2 Bellman: h now mixes updated phase-1 and old phase-2
         // values — the Gauss–Seidel read — and is constant through the
         // phase (phase 2 writes only after its own barrier).
-        fan(phase2.size(), [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                const std::size_t s = phase2[i];
-                bellman_min_implicit(model, u, h, s, g, th[s], greedy[s]);
-            }
-        });
+        bellman_phase(phase2);
         std::fill(chunk_delta.begin(), chunk_delta.end(), 0.0);
         fan(phase2.size(), [&](std::size_t lo, std::size_t hi) {
             double local = 0.0;
@@ -347,8 +455,8 @@ ViResult relative_value_iteration(const CtmdpModel& model,
             ? options.executor
             : nullptr;
     if (options.sweep == ViSweep::kGaussSeidel)
-        return gauss_seidel_rvi(model, u, options, executor);
-    return jacobi_rvi(model, u, options, executor);
+        return gauss_seidel_rvi(u, options, executor);
+    return jacobi_rvi(u, options, executor);
 }
 
 double average_cost_of_policy(const CtmdpModel& model,

@@ -4,13 +4,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
 
 namespace socbuf::util {
 
 bool approx_equal(double a, double b, double atol, double rtol) {
     return std::fabs(a - b) <=
            atol + rtol * std::max(std::fabs(a), std::fabs(b));
+}
+
+std::uint32_t checked_u32(std::size_t count, const char* what) {
+    if (count > std::numeric_limits<std::uint32_t>::max())
+        throw ModelError(std::string(what) + " count " +
+                         std::to_string(count) +
+                         " exceeds the 32-bit index range");
+    return static_cast<std::uint32_t>(count);
 }
 
 double stable_sum(const std::vector<double>& values) {

@@ -1,10 +1,12 @@
 // Numeric helpers shared by the solvers: tolerant comparisons, compensated
-// summation, and integer apportionment (largest-remainder rounding), which
-// the sizing engine uses to turn fractional buffer shares into an integer
-// allocation that exactly exhausts the budget.
+// summation, checked 32-bit narrowing, and integer apportionment
+// (largest-remainder rounding), which the sizing engine uses to turn
+// fractional buffer shares into an integer allocation that exactly
+// exhausts the budget.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace socbuf::util {
@@ -31,6 +33,11 @@ namespace socbuf::util {
 /// alone exceed the total.
 [[nodiscard]] std::vector<long> apportion_largest_remainder(
     long total, const std::vector<double>& weights, long floor_per_entry = 0);
+
+/// `count` narrowed to 32 bits, for kernels that store their indices
+/// narrow. Throws ModelError naming `what` and the count when it does not
+/// fit in std::uint32_t — a checked refusal, never a silent wrap.
+[[nodiscard]] std::uint32_t checked_u32(std::size_t count, const char* what);
 
 /// Index of the maximum element (first one on ties). Requires non-empty.
 [[nodiscard]] std::size_t argmax(const std::vector<double>& values);

@@ -74,6 +74,25 @@ TEST(Numeric, ApproxEqual) {
     EXPECT_TRUE(su::approx_equal(1e9, 1e9 + 1.0, 0.0, 1e-8));
 }
 
+TEST(Numeric, CheckedU32RefusesPastTheBoundary) {
+    constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
+    EXPECT_EQ(su::checked_u32(0, "pair"), 0u);
+    EXPECT_EQ(su::checked_u32(kMax, "pair"), 4294967295u);
+    if constexpr (sizeof(std::size_t) > sizeof(std::uint32_t)) {
+        try {
+            (void)su::checked_u32(kMax + 1, "transition");
+            FAIL() << "expected ModelError";
+        } catch (const su::ModelError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("transition"), std::string::npos) << what;
+            EXPECT_NE(what.find("4294967296"), std::string::npos) << what;
+        }
+        EXPECT_THROW((void)su::checked_u32(
+                         std::numeric_limits<std::size_t>::max(), "pair"),
+                     su::ModelError);
+    }
+}
+
 TEST(Numeric, StableSumBeatsNaiveOnCancellation) {
     std::vector<double> values;
     values.push_back(1.0);

@@ -3,7 +3,10 @@
 // report pins against), the opt-in Gauss–Seidel sweep must agree with
 // Jacobi to tolerance while cutting the sweep count, and the SolveCache
 // fingerprint must key on the sweep variant but never on the
-// schedule-only knobs (executor, parallel_min_states).
+// schedule-only knobs (executor, parallel_min_states). The prefix-shared
+// sweep kernel is pinned bit for bit: against recorded result hashes on
+// preset subsystems, and against a naive per-pair fold on generated
+// models built to defeat prefix sharing.
 #include "arch/presets.hpp"
 #include "core/subsystem_model.hpp"
 #include "ctmc/stationary.hpp"
@@ -12,11 +15,19 @@
 #include "ctmdp/solver.hpp"
 #include "ctmdp/value_iteration.hpp"
 #include "exec/executor.hpp"
+#include "rng/engine.hpp"
 #include "split/splitter.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 namespace sm = socbuf::ctmdp;
@@ -222,4 +233,331 @@ TEST(SolveCacheFingerprint, SweepIsKeyedScheduleKnobsAreNot) {
     fanned.solver.vi.executor = &executor;
     fanned.solver.vi.parallel_min_states = 7;
     EXPECT_EQ(sm::solve_fingerprint(model, fanned), base_key);
+}
+
+namespace {
+
+/// FNV-1a over the bit patterns of a VI result: gain, iterations, every
+/// bias double and every policy choice, in that order (counts widened to
+/// 64 bits).
+std::uint64_t result_hash(const sm::ViResult& r) {
+    std::uint64_t hash = 14695981039346656037ULL;
+    const auto add = [&hash](const auto value) {
+        unsigned char bytes[sizeof value];
+        std::memcpy(bytes, &value, sizeof value);
+        for (const unsigned char b : bytes) {
+            hash ^= b;
+            hash *= 1099511628211ULL;
+        }
+    };
+    add(r.gain);
+    add(static_cast<std::uint64_t>(r.iterations));
+    for (const double b : r.bias) add(b);
+    for (const std::size_t a : r.policy.choices())
+        add(static_cast<std::uint64_t>(a));
+    return hash;
+}
+
+/// Jacobi and Gauss–Seidel results at the given stopping rule.
+std::pair<sm::ViResult, sm::ViResult> both_sweeps(const sm::CtmdpModel& model,
+                                                  double tolerance,
+                                                  std::size_t max_iterations) {
+    sm::ViOptions jacobi;
+    jacobi.tolerance = tolerance;
+    jacobi.max_iterations = max_iterations;
+    auto gs = jacobi;
+    gs.sweep = sm::ViSweep::kGaussSeidel;
+    return {sm::relative_value_iteration(model, jacobi),
+            sm::relative_value_iteration(model, gs)};
+}
+
+}  // namespace
+
+// The hashes were recorded from the plain per-pair CSR fold that preceded
+// the prefix-shared kernel; the sweep uses only IEEE +, -, *, / in a fixed
+// order, so they hold on any x86-64 build without FMA contraction.
+TEST(ViBitPin, FigureOneBusBMatchesRecordedBits) {
+    const auto models = figure1_subsystems(6);
+    const sm::CtmdpModel* bus_b = nullptr;
+    for (const auto& sub : models)
+        if (sub.subsystem().bus_name == "b") bus_b = &sub.model();
+    ASSERT_NE(bus_b, nullptr);
+    ASSERT_EQ(bus_b->state_count(), 343u);
+    const auto [jacobi, gs] = both_sweeps(*bus_b, 1e-10, 500000);
+    EXPECT_EQ(result_hash(jacobi), 0xb40ff625d82deea6ULL)
+        << jacobi.iterations;
+    EXPECT_EQ(result_hash(gs), 0x05350ed546421739ULL) << gs.iterations;
+}
+
+TEST(ViBitPin, ClusterBusMatchesRecordedBits) {
+    const auto model = np_ingress_model(6, 3);
+    ASSERT_EQ(model.state_count(), 16384u);
+    const auto [jacobi, gs] = both_sweeps(model, 1e-7, 50000);
+    EXPECT_EQ(result_hash(jacobi), 0xc6f9a7a76b10b511ULL)
+        << jacobi.iterations;
+    EXPECT_EQ(result_hash(gs), 0xdf7f47181c5080b5ULL) << gs.iterations;
+}
+
+namespace {
+
+/// The per-pair uniformized terms, folded the plain way: every pair's
+/// full entry list from its step cost, nothing shared.
+struct NaivePair {
+    double step_cost = 0.0;
+    double stay = 1.0;
+    std::vector<std::size_t> target;
+    std::vector<double> prob;
+};
+
+struct NaiveModel {
+    double lambda = 1.0;
+    std::vector<std::vector<NaivePair>> pairs;  // [state][action]
+};
+
+NaiveModel naive_uniformize(const sm::CtmdpModel& model) {
+    NaiveModel m;
+    m.lambda = std::max(model.max_exit_rate(), 1e-12) * 1.05 + 1e-9;
+    m.pairs.resize(model.state_count());
+    for (std::size_t s = 0; s < model.state_count(); ++s) {
+        for (std::size_t a = 0; a < model.action_count(s); ++a) {
+            const auto& act = model.action(s, a);
+            NaivePair p;
+            p.step_cost = act.cost / m.lambda;
+            double move = 0.0;
+            for (const auto& t : act.transitions) {
+                if (t.target == s || t.rate <= 0.0) continue;
+                p.target.push_back(t.target);
+                p.prob.push_back(t.rate / m.lambda);
+                move += t.rate / m.lambda;
+            }
+            p.stay = 1.0 - move;
+            m.pairs[s].push_back(std::move(p));
+        }
+    }
+    return m;
+}
+
+/// Explicit (implicit == false) or self-loop-solved Bellman minimum.
+std::pair<double, std::size_t> naive_bellman(const NaiveModel& m,
+                                             const std::vector<double>& h,
+                                             std::size_t s, bool implicit,
+                                             double g) {
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t best_a = 0;
+    for (std::size_t a = 0; a < m.pairs[s].size(); ++a) {
+        const NaivePair& p = m.pairs[s][a];
+        double value = implicit ? p.step_cost : p.step_cost + p.stay * h[s];
+        for (std::size_t k = 0; k < p.target.size(); ++k)
+            value += p.prob[k] * h[p.target[k]];
+        if (implicit) {
+            const double move = 1.0 - p.stay;
+            value = move > 1e-12 ? (value - g) / move
+                                 : value + p.stay * h[s] - g;
+        }
+        if (value < best) {
+            best = value;
+            best_a = a;
+        }
+    }
+    return {best, best_a};
+}
+
+sm::ViResult naive_jacobi(const sm::CtmdpModel& model,
+                          const sm::ViOptions& options) {
+    const NaiveModel m = naive_uniformize(model);
+    const std::size_t n = model.state_count();
+    std::vector<double> h(n, 0.0);
+    std::vector<double> th(n, 0.0);
+    std::vector<std::size_t> greedy(n, 0);
+    sm::ViResult out;
+    double lo = 0.0;
+    double hi = 0.0;
+    for (std::size_t it = 0; it < options.max_iterations; ++it) {
+        lo = std::numeric_limits<double>::infinity();
+        hi = -lo;
+        for (std::size_t s = 0; s < n; ++s) {
+            std::tie(th[s], greedy[s]) = naive_bellman(m, h, s, false, 0.0);
+            lo = std::min(lo, th[s] - h[s]);
+            hi = std::max(hi, th[s] - h[s]);
+        }
+        out.span_residual = hi - lo;
+        out.iterations = it + 1;
+        if (out.span_residual < options.tolerance) {
+            out.converged = true;
+            break;
+        }
+        const double ref = th[options.reference_state];
+        for (std::size_t s = 0; s < n; ++s) h[s] = th[s] - ref;
+    }
+    if (!out.converged) {
+        lo = std::numeric_limits<double>::infinity();
+        hi = -lo;
+        for (std::size_t s = 0; s < n; ++s) {
+            lo = std::min(lo, th[s] - h[s]);
+            hi = std::max(hi, th[s] - h[s]);
+        }
+    }
+    out.gain = 0.5 * (hi + lo) * m.lambda;
+    out.bias = h;
+    out.policy = sm::DeterministicPolicy(std::move(greedy));
+    return out;
+}
+
+sm::ViResult naive_gauss_seidel(const sm::CtmdpModel& model,
+                                const sm::ViOptions& options) {
+    const NaiveModel m = naive_uniformize(model);
+    const std::size_t n = model.state_count();
+    const std::size_t ref = options.reference_state;
+    std::vector<double> h(n, 0.0);
+    std::vector<double> th(n, 0.0);
+    std::vector<std::size_t> greedy(n, 0);
+    sm::ViResult out;
+    double g = 0.0;
+    double g_prev = std::numeric_limits<double>::infinity();
+    for (std::size_t it = 0; it < options.max_iterations; ++it) {
+        g = naive_bellman(m, h, ref, false, 0.0).first;
+        double delta = 0.0;
+        for (const std::size_t parity : {ref % 2, 1 - ref % 2}) {
+            for (std::size_t s = parity; s < n; s += 2)
+                std::tie(th[s], greedy[s]) = naive_bellman(m, h, s, true, g);
+            for (std::size_t s = parity; s < n; s += 2) {
+                delta = std::max(delta, std::fabs(th[s] - h[s]));
+                h[s] = th[s];
+            }
+        }
+        delta = std::max(delta, std::fabs(g - g_prev));
+        g_prev = g;
+        out.span_residual = delta;
+        out.iterations = it + 1;
+        if (delta < options.tolerance) {
+            out.converged = true;
+            break;
+        }
+    }
+    out.gain = g * m.lambda;
+    out.bias = h;
+    out.policy = sm::DeterministicPolicy(std::move(greedy));
+    return out;
+}
+
+/// The next double above `rate` whose uniformized probability differs
+/// from rate's — a one-ULP step in the probability the kernel stores.
+double next_probability(double rate, double lambda) {
+    double bumped = rate;
+    do {
+        bumped = std::nextafter(bumped, std::numeric_limits<double>::max());
+    } while (bumped / lambda == rate / lambda);
+    return bumped;
+}
+
+/// A seeded unichain CTMDP whose consecutive actions are near misses of
+/// a shared prefix: every action opens with the ring jump s -> s + 1, so
+/// every policy is irreducible, and follow-on actions are derived from
+/// their predecessor by one or two mutations. The uniformization rate is
+/// pinned by one fixed high-rate state, so the one-ULP mutations can be
+/// aimed at the stored probability.
+sm::CtmdpModel near_miss_model(std::uint64_t seed, std::size_t n) {
+    socbuf::rng::RandomEngine eng(seed);
+    // Other actions exit at most 1 + 4 * 1.0 + 10 * 0.25 + 10 * 0.1 = 8.5,
+    // below top_rate (ten mutations at most per state, each adding once).
+    const double top_rate = 10.0;
+    const double lambda = top_rate * 1.05 + 1e-9;
+    sm::CtmdpModel model;
+    for (std::size_t s = 0; s < n; ++s) model.add_state();
+    const auto ring = [n](std::size_t s) { return (s + 1) % n; };
+    const auto pick = [&eng, n] {
+        return static_cast<std::size_t>(
+            eng.uniform_int(0, static_cast<long>(n) - 1));
+    };
+    for (std::size_t s = 0; s < n; ++s) {
+        if (s == 0) {
+            // The single-action state carrying the max exit rate.
+            sm::Action pin;
+            pin.transitions = {{ring(s), top_rate}};
+            pin.cost = 1.0;
+            model.add_action(s, std::move(pin));
+            continue;
+        }
+        sm::Action act;
+        act.transitions.push_back({ring(s), eng.uniform(0.1, 1.0)});
+        const long extra = eng.uniform_int(1, 4);
+        for (long k = 0; k < extra; ++k) {
+            // Self-loops and zero rates are dropped by uniformization.
+            const double rate =
+                eng.bernoulli(0.1) ? 0.0 : eng.uniform(0.1, 1.0);
+            act.transitions.push_back({pick(), rate});
+        }
+        act.cost = eng.bernoulli(0.3) ? 0.0 : eng.uniform(0.0, 3.0);
+        const long actions = eng.uniform_int(1, 5);
+        for (long a = 0; a < actions; ++a) {
+            sm::Action next = act;
+            const long mutations = eng.uniform_int(1, 2);
+            for (long m = 0; m < mutations; ++m) {
+                auto& jumps = next.transitions;
+                // A random jump other than the leading ring jump, if any.
+                auto& tail = jumps[static_cast<std::size_t>(eng.uniform_int(
+                    jumps.size() > 1 ? 1 : 0,
+                    static_cast<long>(jumps.size()) - 1))];
+                switch (eng.uniform_int(0, 6)) {
+                case 0:  // the subsystem shape: shared prefix + one jump
+                    jumps.push_back({pick(), eng.uniform(0.05, 0.25)});
+                    break;
+                case 1:  // +0.0 vs -0.0 step cost
+                    next.cost = std::signbit(next.cost) ? 0.0 : -0.0;
+                    break;
+                case 2:  // one ULP in one stored probability
+                    if (tail.rate > 0.0)
+                        tail.rate = next_probability(tail.rate, lambda);
+                    break;
+                case 3:  // same target, different probability
+                    tail.rate = tail.rate > 0.0 ? tail.rate * 0.5 : 0.1;
+                    break;
+                case 4:  // a shared prefix followed by a shorter pair:
+                         // the last two jumps merge into one, which
+                         // mostly keeps the stay term bit-equal
+                    if (jumps.size() > 2) {
+                        const auto last = jumps.back();
+                        jumps.pop_back();
+                        jumps.back() = {last.target,
+                                        jumps.back().rate + last.rate};
+                    } else if (jumps.size() > 1) {
+                        jumps.pop_back();
+                    }
+                    break;
+                case 5:  // same probability, different target
+                    tail.target = (tail.target + 1) % n;
+                    break;
+                default:  // an exact repeat
+                    break;
+                }
+            }
+            model.add_action(s, next);
+            act = std::move(next);
+        }
+    }
+    return model;
+}
+
+}  // namespace
+
+TEST(ViPrefixSharing, KernelMatchesNaiveFoldBitForBit) {
+    // A kernel that shared a prefix across a one-ULP probability step, a
+    // changed probability or target, a different cost or stay term, or
+    // misread a shorter follow-on pair folds different doubles than the
+    // plain per-pair loop. The +0.0/-0.0 cost pairs are generated too,
+    // though no fold here can tell them apart: h never holds -0.0, and
+    // x + (+0.0) == x + (-0.0) bit for bit for every other x.
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        const auto model = near_miss_model(seed, 24 + 3 * (seed % 5));
+        sm::ViOptions options;
+        options.tolerance = 1e-9;
+        options.max_iterations = 5000;
+        const auto jacobi = sm::relative_value_iteration(model, options);
+        EXPECT_TRUE(jacobi.converged) << "seed " << seed;
+        expect_bit_identical(jacobi, naive_jacobi(model, options));
+        options.sweep = sm::ViSweep::kGaussSeidel;
+        const auto gs = sm::relative_value_iteration(model, options);
+        EXPECT_TRUE(gs.converged) << "seed " << seed;
+        expect_bit_identical(gs, naive_gauss_seidel(model, options));
+    }
 }
