@@ -1,71 +1,59 @@
-// Discrete-event simulation kernel: a time-ordered event queue with stable
-// FIFO tie-breaking, cancellation, and bounded runs. The architecture
-// simulator (sim/) is built on top of this.
+// Discrete-event simulation kernel: a time-ordered queue of typed event
+// records with stable FIFO tie-breaking and bounded runs. The queue only
+// orders events; the caller dispatches on each record's `kind`. The
+// architecture simulator (sim/) is built on top of this.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 namespace socbuf::des {
 
-using EventId = std::uint64_t;
+/// One pending event: `kind` says what happens, `index` to what (a flow,
+/// a bus, ...); both are the caller's. `seq` is the scheduler's insertion
+/// number and breaks ties between equal times.
+struct Event {
+    double time = 0.0;
+    std::uint64_t seq = 0;
+    std::uint32_t kind = 0;
+    std::uint32_t index = 0;
+};
 
-/// Event-driven scheduler. Events fire in (time, insertion order).
+/// Event-driven scheduler. Events fire in (time, insertion order). Storage
+/// is a binary heap of the pending events only, so it stays bounded by
+/// the most events ever pending at once.
 class Scheduler {
 public:
-    /// Schedule `action` at absolute time `when` (>= now). Returns an id
-    /// usable with cancel().
-    EventId schedule_at(double when, std::function<void()> action);
+    /// Pre-size storage for `events` pending events.
+    void reserve(std::size_t events) { heap_.reserve(events); }
 
-    /// Schedule `action` `delay` time units from now (delay >= 0).
-    EventId schedule_after(double delay, std::function<void()> action);
+    /// Schedule an event at absolute time `when` (>= now).
+    void schedule_at(double when, std::uint32_t kind, std::uint32_t index);
 
-    /// Cancel a pending event. Cancelling an already-fired or unknown id is
-    /// a no-op (returns false).
-    bool cancel(EventId id);
+    /// Schedule an event `delay` time units from now (delay >= 0).
+    void schedule_after(double delay, std::uint32_t kind,
+                        std::uint32_t index);
+
+    /// Pop the next event at or before `horizon` (>= now) into `event`,
+    /// advance now() to its time and return true. Events scheduled exactly
+    /// at `horizon` still fire. Once none is left, set now() to `horizon`
+    /// and return false.
+    bool next(double horizon, Event& event);
 
     /// Current simulation time.
     [[nodiscard]] double now() const { return now_; }
 
-    /// Number of pending (non-cancelled) events.
-    [[nodiscard]] std::size_t pending() const {
-        return queue_.size() - cancelled_.size();
-    }
-
-    /// Fire the next event; returns false if the queue is empty.
-    bool step();
-
-    /// Run until the queue empties or simulation time would exceed
-    /// `horizon`. Events scheduled exactly at `horizon` still fire.
-    void run_until(double horizon);
-
-    /// Run until the queue is empty (caller must guarantee termination).
-    void run_to_exhaustion();
+    /// Number of pending events.
+    [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
     /// Total number of events fired so far.
     [[nodiscard]] std::uint64_t fired_count() const { return fired_; }
 
 private:
-    struct Entry {
-        double time;
-        EventId id;
-        // Ordered min-heap: earliest time first, FIFO among equal times.
-        bool operator>(const Entry& other) const {
-            if (time != other.time) return time > other.time;
-            return id > other.id;
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-    std::vector<std::function<void()>> actions_;  // indexed by EventId
-    // Membership tests only (count/insert/erase); firing order is decided
-    // by the ordered min-heap above, so hash order stays invisible.
-    // socbuf-lint: allow(unordered-container) — membership set; never iterated, order decided by queue_.
-    std::unordered_set<EventId> cancelled_;
+    std::vector<Event> heap_;  // min-heap on (time, seq)
     double now_ = 0.0;
+    std::uint64_t next_seq_ = 0;
     std::uint64_t fired_ = 0;
 };
 

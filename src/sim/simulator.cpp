@@ -93,20 +93,31 @@ public:
     }
 
     SimResult run() {
+        // Each flow has one arrival pending at a time and each bus at most
+        // one completion.
+        sched_.reserve(system_.flows.size() + bus_rt_.size());
         for (std::size_t f = 0; f < system_.flows.size(); ++f)
             schedule_next_arrival(f);
-        sched_.run_until(config_.horizon);
+        des::Event event;
+        while (sched_.next(config_.horizon, event)) {
+            if (event.kind == kArrival) {
+                on_arrival(event.index);
+                schedule_next_arrival(event.index);
+            } else {
+                complete_service(event.index);
+            }
+        }
         return collect();
     }
 
 private:
+    enum EventKind : std::uint32_t { kArrival, kCompletion };
+
     void schedule_next_arrival(std::size_t flow) {
         const double gap =
             arrivals_[flow]->next_interarrival(flow_engines_[flow]);
-        sched_.schedule_after(gap, [this, flow] {
-            on_arrival(flow);
-            schedule_next_arrival(flow);
-        });
+        sched_.schedule_after(gap, kArrival,
+                              static_cast<std::uint32_t>(flow));
     }
 
     void on_arrival(std::size_t flow) {
@@ -174,14 +185,13 @@ private:
     /// every queue is empty.
     arch::SiteId arbitrate(arch::BusId bus_id) {
         BusRuntime& bus = bus_rt_[bus_id];
-        std::vector<arch::SiteId> ready;
-        for (const auto site : bus.sites)
-            if (!site_rt_[site].queue.empty()) ready.push_back(site);
-        if (ready.empty()) return sites_.size();
+        const arch::SiteId none = sites_.size();
         switch (config_.arbiter) {
             case ArbiterKind::kFixedPriority:
-                return ready.front();
-            case ArbiterKind::kRoundRobin: {
+                for (const auto site : bus.sites)
+                    if (!site_rt_[site].queue.empty()) return site;
+                return none;
+            case ArbiterKind::kRoundRobin:
                 // Next non-empty site at or after the cursor.
                 for (std::size_t k = 0; k < bus.sites.size(); ++k) {
                     const std::size_t idx =
@@ -192,27 +202,34 @@ private:
                         return site;
                     }
                 }
-                return ready.front();  // unreachable
-            }
+                return none;
             case ArbiterKind::kLongestQueue: {
-                arch::SiteId best = ready.front();
-                for (const auto site : ready)
-                    if (site_rt_[site].queue.size() >
-                        site_rt_[best].queue.size())
+                // First strict maximum among the non-empty sites.
+                arch::SiteId best = none;
+                std::size_t best_length = 0;
+                for (const auto site : bus.sites) {
+                    if (site_rt_[site].queue.size() > best_length) {
                         best = site;
+                        best_length = site_rt_[site].queue.size();
+                    }
+                }
                 return best;
             }
-            case ArbiterKind::kWeightedRandom: {
-                std::vector<double> w(ready.size(), 1.0);
-                if (!config_.site_weights.empty()) {
-                    for (std::size_t i = 0; i < ready.size(); ++i)
-                        w[i] = std::max(config_.site_weights[ready[i]],
-                                        1e-6);
+            case ArbiterKind::kWeightedRandom:
+                ready_.clear();
+                weights_.clear();
+                for (const auto site : bus.sites) {
+                    if (site_rt_[site].queue.empty()) continue;
+                    ready_.push_back(site);
+                    weights_.push_back(
+                        config_.site_weights.empty()
+                            ? 1.0
+                            : std::max(config_.site_weights[site], 1e-6));
                 }
-                return ready[arbiter_engines_[bus_id].discrete(w)];
-            }
+                if (ready_.empty()) return none;
+                return ready_[arbiter_engines_[bus_id].discrete(weights_)];
         }
-        return ready.front();
+        return none;
     }
 
     void begin_service(arch::BusId bus_id) {
@@ -230,8 +247,8 @@ private:
         const double service =
             bus_engines_[bus_id].exponential(
                 system_.architecture.bus(bus_id).service_rate);
-        sched_.schedule_after(service,
-                              [this, bus_id] { complete_service(bus_id); });
+        sched_.schedule_after(service, kCompletion,
+                              static_cast<std::uint32_t>(bus_id));
     }
 
     void complete_service(arch::BusId bus_id) {
@@ -308,6 +325,9 @@ private:
     std::vector<SiteRuntime> site_rt_;
     std::vector<BusRuntime> bus_rt_;
     des::Scheduler sched_;
+    // kWeightedRandom scratch: the non-empty sites and their weights.
+    std::vector<arch::SiteId> ready_;
+    std::vector<double> weights_;
 
     std::vector<std::uint64_t> offered_ =
         std::vector<std::uint64_t>(system_.architecture.processor_count(), 0);

@@ -1,10 +1,17 @@
 #include "arch/presets.hpp"
+#include "arch/sites.hpp"
 #include "exec/executor.hpp"
 #include "queueing/mm1k.hpp"
 #include "sim/simulator.hpp"
 #include "util/contracts.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
 
 namespace ss = socbuf::sim;
 namespace sa = socbuf::arch;
@@ -296,4 +303,130 @@ TEST(Simulator, ReplicationAveragesAreStable) {
     EXPECT_GT(reps.mean_lost_per_processor[0], 0.0);
     EXPECT_GT(reps.stddev_lost_per_processor[0], 0.0);
     EXPECT_NEAR(reps.mean_total_lost, reps.mean_lost_per_processor[0], 1e-9);
+}
+
+namespace {
+
+/// FNV-1a over the bit patterns of every SimResult field, in declaration
+/// order; each vector contributes its length, then its elements (counts
+/// widened to 64 bits, doubles hashed by bit pattern).
+std::uint64_t result_hash(const ss::SimResult& r) {
+    std::uint64_t hash = 14695981039346656037ULL;
+    const auto add = [&hash](const auto value) {
+        unsigned char bytes[sizeof value];
+        std::memcpy(bytes, &value, sizeof value);
+        for (const unsigned char b : bytes) {
+            hash ^= b;
+            hash *= 1099511628211ULL;
+        }
+    };
+    const auto add_all = [&add](const auto& values) {
+        add(static_cast<std::uint64_t>(values.size()));
+        for (const auto v : values) add(v);
+    };
+    add(r.measured_time);
+    add_all(r.offered);
+    add_all(r.delivered);
+    add_all(r.lost);
+    add_all(r.flow_lost);
+    add_all(r.site_arrivals);
+    add_all(r.site_losses);
+    add_all(r.site_mean_wait);
+    add_all(r.site_mean_occupancy);
+    add_all(r.site_observed_rate);
+    add_all(r.bus_utilization);
+    add_all(r.site_served);
+    return hash;
+}
+
+std::string hex(std::uint64_t value) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016llxULL",
+                  static_cast<unsigned long long>(value));
+    return buf;
+}
+
+/// Every arbiter (weighted-random with and without site weights) crossed
+/// with every timeout mode (off, global threshold, per-site thresholds):
+/// the hashes of `system` at capacity `cap` everywhere, row-major in
+/// that order.
+std::vector<std::uint64_t> bit_pin_hashes(const sa::TestSystem& system,
+                                          long cap) {
+    const std::size_t n =
+        sa::enumerate_buffer_sites(system.architecture).size();
+    std::vector<double> weights(n);
+    std::vector<double> thresholds(n);
+    for (std::size_t s = 0; s < n; ++s) {
+        // One zero weight exercises the 1e-6 floor; one zero threshold
+        // falls back to the global one.
+        weights[s] = static_cast<double>(s % 3);
+        thresholds[s] =
+            s % 5 == 4 ? 0.0 : 0.75 + 0.5 * static_cast<double>(s % 4);
+    }
+    struct Arbiter {
+        ss::ArbiterKind kind;
+        bool weighted;
+    };
+    const Arbiter arbiters[] = {{ss::ArbiterKind::kFixedPriority, false},
+                                {ss::ArbiterKind::kRoundRobin, false},
+                                {ss::ArbiterKind::kLongestQueue, false},
+                                {ss::ArbiterKind::kWeightedRandom, false},
+                                {ss::ArbiterKind::kWeightedRandom, true}};
+    std::vector<std::uint64_t> out;
+    for (const Arbiter& arbiter : arbiters) {
+        for (int timeout = 0; timeout < 3; ++timeout) {
+            ss::SimConfig cfg;
+            cfg.horizon = 1500.0;
+            cfg.warmup = 150.0;
+            cfg.seed = 2005;
+            cfg.arbiter = arbiter.kind;
+            if (arbiter.weighted) cfg.site_weights = weights;
+            cfg.timeout_enabled = timeout > 0;
+            if (timeout > 0) cfg.timeout_threshold = 2.0;
+            if (timeout == 2) cfg.site_timeout_thresholds = thresholds;
+            out.push_back(result_hash(
+                ss::simulate(system, std::vector<long>(n, cap), cfg)));
+        }
+    }
+    return out;
+}
+
+void expect_hashes(const std::vector<std::uint64_t>& actual,
+                   const std::vector<std::uint64_t>& expected) {
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < actual.size(); ++i)
+        EXPECT_EQ(actual[i], expected[i])
+            << "case " << i << " (arbiter " << i / 3 << ", timeout mode "
+            << i % 3 << "): got " << hex(actual[i]);
+}
+
+}  // namespace
+
+// The hashes were recorded from the std::function-based event scheduler
+// and the vector-building arbiter that preceded the typed event kernel
+// (run this test there with the expected values zeroed and paste the
+// reported ones). The simulator uses only IEEE arithmetic in a fixed
+// order, so they hold on any x86-64 build without FMA contraction.
+TEST(SimBitPin, FigureOneMatchesRecordedBits) {
+    // One row per arbiter; columns: timeout off, global, per-site.
+    const std::vector<std::uint64_t> expected = {
+        0x89a9b7b7907be17cULL, 0xdf181e8acf93fc8eULL, 0x907743c55f00cfc9ULL,
+        0xe820fdbd3ca7cb76ULL, 0x5c2fc7ecd644a628ULL, 0x4edc9c0d9bb05acfULL,
+        0xf375a2d07c8cf776ULL, 0x024b6f944f7ee0a0ULL, 0x87a30cd432a20f3dULL,
+        0xee9dca3122d4ea60ULL, 0xa66dcfba3ef0c459ULL, 0xf8d03267e79b13f3ULL,
+        0x43d2635e456334f4ULL, 0x45bf182fb0cf3c75ULL, 0xd1f324fd5be585daULL,
+    };
+    expect_hashes(bit_pin_hashes(sa::figure1_system(), 3), expected);
+}
+
+TEST(SimBitPin, NetworkProcessorMatchesRecordedBits) {
+    // One row per arbiter; columns: timeout off, global, per-site.
+    const std::vector<std::uint64_t> expected = {
+        0x990e5ea662d440fbULL, 0x914f3969ce6c9823ULL, 0xe3dad7693f0e4bacULL,
+        0x1aa10ea13f0260dbULL, 0x2481bf5ec46acad8ULL, 0x95acc481531a36edULL,
+        0x120f724f5ab15492ULL, 0xd5c70c1cef9a074cULL, 0xd77d67928179da20ULL,
+        0xf3b7b0446ab62f59ULL, 0xd545437e5c5ed307ULL, 0xcf1e3293865704ceULL,
+        0xdc98adc384ed71fcULL, 0x0888b9d4c85f5438ULL, 0xa86921da008606d9ULL,
+    };
+    expect_hashes(bit_pin_hashes(sa::network_processor_system(), 4), expected);
 }
