@@ -26,6 +26,7 @@
 // google-benchmark loop is skipped in that mode.
 #include "exec/executor.hpp"
 #include "exec/thread_pool.hpp"
+#include "scenario/batch_runner.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/scenario.hpp"
 #include "session/session.hpp"
@@ -46,7 +47,9 @@ namespace {
 
 using socbuf::Session;
 using socbuf::SessionOptions;
+using socbuf::scenario::BatchOptions;
 using socbuf::scenario::BatchReport;
+using socbuf::scenario::BatchRunner;
 using socbuf::scenario::ScenarioBuilder;
 using socbuf::scenario::ScenarioSpec;
 
@@ -136,28 +139,27 @@ void print_batch_scaling() {
 }
 
 /// The --json measurement: longest-first submission on the Table 1
-/// budget sweep. Longest-first moves only the schedule.
+/// budget sweep. Longest-first moves only the schedule. BatchOptions is
+/// the one place the knob lives, so this drives the BatchRunner directly,
+/// one fresh executor and per-batch solve cache per measurement — what a
+/// Session run does.
 void write_json_report(const std::string& path) {
     namespace sj = socbuf::util;
     const ScenarioSpec spec = sweep_spec();
 
     auto orderings = sj::JsonValue::array();
     for (const std::size_t threads : {2UL, 4UL}) {
-        SessionOptions fifo_options;
-        fifo_options.threads = threads;
-        fifo_options.longest_first = false;
-        Session fifo_session(fifo_options);
+        const auto timed_batch = [&](bool longest_first, BatchReport& out) {
+            socbuf::exec::Executor executor(threads);
+            BatchOptions options;
+            options.longest_first = longest_first;
+            BatchRunner runner(executor, options);
+            return seconds_of([&] { out = runner.run(spec); });
+        };
         BatchReport fifo;
-        const double fifo_s =
-            seconds_of([&] { fifo = fifo_session.run(spec); });
-
-        SessionOptions longest_options;
-        longest_options.threads = threads;
-        longest_options.longest_first = true;
-        Session longest_session(longest_options);
+        const double fifo_s = timed_batch(false, fifo);
         BatchReport longest;
-        const double longest_s =
-            seconds_of([&] { longest = longest_session.run(spec); });
+        const double longest_s = timed_batch(true, longest);
 
         auto row = sj::JsonValue::object();
         row.set("threads", threads);

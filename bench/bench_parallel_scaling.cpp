@@ -140,7 +140,8 @@ void print_scaling(socbuf::util::JsonValue* json_rows) {
 /// sweep on the 16384-state np-cluster-scaling ingress bus (pe = 6,
 /// cap = 3) at one, two and four workers. Results must be bit-identical
 /// at every width (chunk boundaries depend only on the state count);
-/// `identical` verifies gain and bias against the one-thread solve.
+/// `identical` verifies gain, iterations, stationary distribution and
+/// occupation measure against the one-thread solve.
 socbuf::util::JsonValue vi_sweep_scaling() {
     namespace sj = socbuf::util;
     socbuf::arch::NetworkProcessorParams params;
@@ -173,8 +174,11 @@ socbuf::util::JsonValue vi_sweep_scaling() {
             reference = solution;
             base_s = s;
         }
-        const bool identical = solution.gain == reference.gain &&
-                               solution.bias == reference.bias;
+        const bool identical =
+            solution.gain == reference.gain &&
+            solution.iterations == reference.iterations &&
+            solution.stationary == reference.stationary &&
+            solution.occupation == reference.occupation;
         auto row = sj::JsonValue::object();
         row.set("threads", threads);
         row.set("states", model.model().state_count());

@@ -46,7 +46,7 @@ void print_table1() {
     std::printf("%s", t.to_string().c_str());
     std::printf("shape checks: post-loss decreases with budget, reaches "
                 "~0 at 640 for the highlighted processors, and individual "
-                "processors may worsen at 160 (see EXPERIMENTS.md).\n");
+                "processors may worsen at 160.\n");
 }
 
 void BM_Table1SingleBudget(benchmark::State& state) {

@@ -1,12 +1,12 @@
 // The paper's Figure 1 architecture end to end: split it into the four
 // linear subsystems of Figure 2, show the quadratic coupling of the
-// monolithic model, solve both ways, then size the buffers.
+// monolithic model, solve it with the split fixed point, then size the
+// buffers.
 //
 //   $ ./bridged_soc
 #include "arch/presets.hpp"
 #include "core/engine.hpp"
 #include "nonlinear/coupled_model.hpp"
-#include "nonlinear/newton.hpp"
 #include "split/splitter.hpp"
 
 #include <cstdio>
@@ -44,13 +44,9 @@ int main() {
                 monolithic.bilinear_term_count());
     const auto fp = monolithic.solve_fixed_point();
     std::printf("split-style fixed point: %s in %zu rounds, loss rate "
-                "%.4f\n",
+                "%.4f\n\n",
                 fp.converged ? "converged" : "FAILED", fp.iterations,
                 fp.solution.total_loss_rate);
-    const auto newton = nonlinear::solve_newton(
-        monolithic, monolithic.initial_uniform());
-    std::printf("monolithic Newton:       %s in %zu iterations\n\n",
-                nonlinear::to_string(newton.outcome), newton.iterations);
 
     // --- buffer sizing ---------------------------------------------------
     core::SizingOptions options;

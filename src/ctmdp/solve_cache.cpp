@@ -102,7 +102,6 @@ std::size_t approx_entry_bytes(const std::string& key,
     bytes += sizeof(std::pair<const std::string, void*>) * 2;  // map nodes
     bytes += solution.stationary.size() * sizeof(double);
     bytes += solution.occupation.size() * sizeof(double);
-    bytes += solution.bias.size() * sizeof(double);
     for (std::size_t s = 0; s < solution.policy.state_count(); ++s)
         bytes += solution.policy.distribution(s).size() * sizeof(double) +
                  sizeof(std::vector<double>);

@@ -5,7 +5,6 @@
 #include "util/log.hpp"
 
 #include <string>
-#include <utility>
 
 namespace socbuf::ctmdp {
 
@@ -29,13 +28,11 @@ constexpr double kSwitchingTolerance = 1e-9;
 /// schedule-only, bit-identical for any worker count.
 SubsystemSolution from_deterministic(const CtmdpModel& model,
                                      const DeterministicPolicy& policy,
-                                     double gain, linalg::Vector bias,
-                                     std::size_t iterations, bool converged,
-                                     SolverKind kind,
+                                     double gain, std::size_t iterations,
+                                     bool converged, SolverKind kind,
                                      exec::Executor* executor) {
     SubsystemSolution out;
     out.gain = gain;
-    out.bias = std::move(bias);
     out.iterations = iterations;
     out.policy = RandomizedPolicy::from_deterministic(policy, model);
     out.occupation = occupation_of_policy(model, out.policy, executor);
@@ -93,9 +90,8 @@ public:
             util::log(util::LogLevel::kWarn,
                       "value iteration hit the iteration limit (span ",
                       vi.span_residual, "); using the last policy");
-        return from_deterministic(model, vi.policy, vi.gain, vi.bias,
-                                  vi.iterations, vi.converged,
-                                  SolverKind::kValueIteration,
+        return from_deterministic(model, vi.policy, vi.gain, vi.iterations,
+                                  vi.converged, SolverKind::kValueIteration,
                                   options.vi.executor);
     }
 };
@@ -116,7 +112,7 @@ public:
             util::log(util::LogLevel::kWarn,
                       "policy iteration hit the update limit; using the ",
                       "last policy");
-        return from_deterministic(model, pi.policy, pi.gain, pi.bias,
+        return from_deterministic(model, pi.policy, pi.gain,
                                   pi.policy_updates, pi.converged,
                                   SolverKind::kPolicyIteration,
                                   options.vi.executor);

@@ -55,9 +55,6 @@ struct SubsystemSolution {
     linalg::Vector stationary;       // pi(s) under the returned policy
     std::vector<double> occupation;  // x(s,a), flat pair-indexed
     RandomizedPolicy policy;
-    /// Relative value function h (h(ref) = 0) for PI/VI solves; empty for
-    /// LP solves.
-    linalg::Vector bias;
     /// Algorithm-specific effort: simplex pivots, VI sweeps, or PI policy
     /// updates. Comparable only between solves of the same solved_by.
     std::size_t iterations = 0;

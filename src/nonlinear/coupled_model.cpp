@@ -204,22 +204,6 @@ linalg::Vector CoupledBusModel::initial_uniform() const {
     return x;
 }
 
-linalg::Vector CoupledBusModel::initial_random(
-    rng::RandomEngine& engine) const {
-    linalg::Vector x(n_unknowns_, 0.0);
-    for (const auto& bus : buses_) {
-        double total = 0.0;
-        for (std::size_t s = 0; s < bus.n_states; ++s) {
-            const double v = engine.exponential(1.0);  // Dirichlet(1,..,1)
-            x[bus.x_offset + s] = v;
-            total += v;
-        }
-        for (std::size_t s = 0; s < bus.n_states; ++s)
-            x[bus.x_offset + s] /= total;
-    }
-    return x;
-}
-
 CoupledBusModel::Decoded CoupledBusModel::decode(const linalg::Vector& x,
                                                  double tolerance) const {
     Decoded d;

@@ -16,7 +16,6 @@
 #pragma once
 
 #include "linalg/matrix.hpp"
-#include "rng/engine.hpp"
 #include "split/splitter.hpp"
 
 #include <cstddef>
@@ -49,10 +48,6 @@ public:
 
     /// Uniform-distribution starting point.
     [[nodiscard]] linalg::Vector initial_uniform() const;
-
-    /// Random stochastic starting point (per-bus simplex samples).
-    [[nodiscard]] linalg::Vector initial_random(
-        rng::RandomEngine& engine) const;
 
     struct Decoded {
         std::vector<linalg::Vector> pi;      // per bus

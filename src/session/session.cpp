@@ -19,13 +19,12 @@ scenario::BatchReport Session::run(const scenario::ScenarioSpec& spec) {
 
 scenario::BatchReport Session::run(
     const std::vector<scenario::ScenarioSpec>& specs) {
-    // A fresh cache per batch keeps reports reproducible run over run;
-    // reuse_cache trades that for cross-run memoization.
-    if (!options_.reuse_cache) cache_.clear();
+    // A fresh cache per batch keeps reports reproducible run over run.
+    // Sizing jobs go longest-estimated-first (BatchOptions' default).
+    cache_.clear();
     scenario::BatchOptions batch;
     batch.use_solve_cache = options_.use_solve_cache;
     batch.shared_cache = &cache_;
-    batch.longest_first = options_.longest_first;
     scenario::BatchRunner runner(executor_, batch);
     return runner.run(specs);
 }

@@ -4,8 +4,8 @@
 //
 //   * the exec::Executor (one worker pool for everything the session runs),
 //   * the batch-wide ctmdp::SolveCache (cleared at the start of each run,
-//     so two runs of the same workload produce bit-identical reports —
-//     opt into cross-run reuse with SessionOptions::reuse_cache),
+//     so two runs of the same workload produce bit-identical reports,
+//     cache counters included),
 //   * the ScenarioRegistry (built-in presets plus whatever load_file adds).
 //
 // The experiment drivers (core::run_figure3 / run_table1), the benches and
@@ -44,15 +44,6 @@ struct SessionOptions {
     /// unlimited); LRU eviction until back under budget. See
     /// ctmdp::SolveCache.
     std::size_t cache_byte_budget = 0;
-    /// Keep the solve cache warm *across* run() calls instead of clearing
-    /// it per batch. Results never change; the per-report cache counters
-    /// then accumulate session history (a repeated workload reports ~100%
-    /// hits), so leave this off where per-batch counters matter.
-    bool reuse_cache = false;
-    /// Submit sizing jobs longest-estimated-first inside each batch.
-    /// Schedule-only (results bit-identical); see
-    /// scenario::BatchOptions::longest_first.
-    bool longest_first = true;
 };
 
 class Session {

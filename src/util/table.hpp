@@ -1,6 +1,6 @@
 // Column-aligned text tables with CSV (RFC 4180) and JSON emission. The
 // bench binaries use this to print the paper's tables/figures as plain
-// rows, so outputs are easy to diff against EXPERIMENTS.md.
+// rows, so outputs are easy to diff against the paper's tables.
 #pragma once
 
 #include <string>

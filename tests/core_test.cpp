@@ -1,7 +1,6 @@
 #include "arch/presets.hpp"
 #include "core/allocation.hpp"
 #include "core/engine.hpp"
-#include "core/joint.hpp"
 #include "core/subsystem_model.hpp"
 #include "ctmdp/lp_solver.hpp"
 #include "ctmdp/occupation.hpp"
@@ -137,52 +136,6 @@ TEST(SubsystemModel, LpSolutionBeatsArbitraryPolicyAndMarginalsAreSane) {
     const auto shares = model.service_shares(lp.occupation);
     EXPECT_NEAR(std::accumulate(shares.begin(), shares.end(), 0.0), 1.0,
                 1e-6);
-}
-
-TEST(Joint, JointLpMatchesPriceDecomposition) {
-    // The equivalence behind "solve all the equations in one go": the
-    // explicit joint LP and its Lagrangian decomposition land on the same
-    // optimal loss (within bisection tolerance).
-    const auto& split = figure1_split();
-    const auto alloc = sc::uniform_allocation(split, 27);  // 3 per site
-    const auto models = sc::build_subsystem_models(split, alloc, 3);
-    // Find a budget that is binding but feasible: the occupancy range a
-    // policy can influence is bounded below by the heavily-priced solve.
-    const auto free_run = sc::solve_unconstrained(models);
-    ASSERT_TRUE(free_run.solved);
-    const auto squeezed = sc::solve_price_decomposed(
-        models, 1e-6, /*rho_max=*/64.0, /*bisection_steps=*/0);
-    ASSERT_TRUE(squeezed.solved);
-    const double min_occ = squeezed.total_expected_occupancy;
-    ASSERT_LT(min_occ, free_run.total_expected_occupancy);
-    const double budget =
-        0.5 * (min_occ + free_run.total_expected_occupancy);
-
-    const auto joint = sc::solve_joint_lp(models, budget);
-    ASSERT_TRUE(joint.solved);
-    EXPECT_LE(joint.total_expected_occupancy, budget + 1e-6);
-
-    const auto priced = sc::solve_price_decomposed(models, budget);
-    ASSERT_TRUE(priced.solved);
-    EXPECT_LE(priced.total_expected_occupancy, budget + 1e-4);
-    EXPECT_GT(priced.occupancy_price, 0.0);
-    EXPECT_NEAR(joint.total_loss_rate, priced.total_loss_rate,
-                0.05 * std::max(1e-3, joint.total_loss_rate));
-    // Constraining occupancy can only increase the optimal loss.
-    EXPECT_GE(joint.total_loss_rate, free_run.total_loss_rate - 1e-9);
-}
-
-TEST(Joint, SlackBudgetReducesToUnconstrained) {
-    const auto& split = figure1_split();
-    const auto alloc = sc::uniform_allocation(split, 27);
-    const auto models = sc::build_subsystem_models(split, alloc, 3);
-    const auto free_run = sc::solve_unconstrained(models);
-    ASSERT_TRUE(free_run.solved);
-    const auto priced = sc::solve_price_decomposed(
-        models, free_run.total_expected_occupancy * 2.0);
-    ASSERT_TRUE(priced.solved);
-    EXPECT_DOUBLE_EQ(priced.occupancy_price, 0.0);
-    EXPECT_NEAR(priced.total_loss_rate, free_run.total_loss_rate, 1e-9);
 }
 
 TEST(Engine, OptionValidation) {

@@ -4,7 +4,6 @@
 #include "arch/presets.hpp"
 #include "core/experiments.hpp"
 #include "nonlinear/coupled_model.hpp"
-#include "nonlinear/newton.hpp"
 #include "split/splitter.hpp"
 
 #include <gtest/gtest.h>
@@ -31,8 +30,8 @@ TEST(Figure3, ResizingBeatsConstantBeatsTimeout) {
     EXPECT_LT(r.resized_total, r.constant_total);
     EXPECT_LT(r.constant_total, r.timeout_total);
     // The paper's factors: ~20% vs constant, ~50% vs timeout. Our
-    // reconstruction is more favorable to resizing (see EXPERIMENTS.md);
-    // assert the direction and a sane band rather than the exact figure.
+    // reconstruction is more favorable to resizing; assert the direction
+    // and a sane band rather than the exact figure.
     EXPECT_GT(r.gain_vs_constant(), 0.10);
     EXPECT_LT(r.gain_vs_constant(), 0.95);
     EXPECT_GT(r.gain_vs_timeout(), 0.30);

@@ -1,12 +1,8 @@
 #include "arch/presets.hpp"
 #include "nonlinear/coupled_model.hpp"
-#include "nonlinear/newton.hpp"
 #include "split/splitter.hpp"
-#include "util/contracts.hpp"
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 namespace sn = socbuf::nonlinear;
 namespace sa = socbuf::arch;
@@ -62,8 +58,9 @@ TEST(CoupledModel, ResidualVanishesOnlyAtSolutions) {
 
 TEST(CoupledModel, FixedPointSolvesTheSystem) {
     // The split-style iteration (each bus solved as a *linear* system,
-    // coupling updated between rounds) converges where monolithic Newton
-    // struggles — the computational content of the paper's contribution.
+    // coupling updated between rounds) solves the quadratic monolithic
+    // system with linear solves only and stays feasible by construction —
+    // the computational content of the paper's contribution.
     const auto model = figure1_model();
     const auto fp = model.solve_fixed_point();
     EXPECT_TRUE(fp.converged);
@@ -90,67 +87,6 @@ TEST(CoupledModel, FixedPointIsAResidualZero) {
         x.insert(x.end(), pi.begin(), pi.end());
     const auto r = model.residual(x);
     EXPECT_LT(socbuf::linalg::norm_inf(r), 1e-6);
-}
-
-TEST(Newton, FromFixedPointStartConvergesInstantly) {
-    const auto model = figure1_model();
-    const auto fp = model.solve_fixed_point(1000, 1e-12);
-    ASSERT_TRUE(fp.converged);
-    socbuf::linalg::Vector x;
-    for (const auto& pi : fp.solution.pi)
-        x.insert(x.end(), pi.begin(), pi.end());
-    const auto nr = sn::solve_newton(model, x);
-    EXPECT_EQ(nr.outcome, sn::NewtonOutcome::kConverged);
-    EXPECT_LE(nr.iterations, 3u);
-}
-
-TEST(Newton, BothRoutesSolveAndAgree) {
-    // Honest reproduction note (see EXPERIMENTS.md): at Figure-1 scale a
-    // modern Newton *does* solve the monolithic quadratic system — we
-    // could not reproduce the paper's outright solver failure. The split's
-    // structural advantages (only linear solves, no Jacobian assembly,
-    // feasibility by construction) are benchmarked in
-    // bench_nonlinear_vs_split; here we pin that both routes reach the
-    // same solution.
-    const auto model = figure1_model();
-    socbuf::rng::RandomEngine eng(17);
-    const auto nr = sn::solve_newton(model, model.initial_random(eng));
-    ASSERT_TRUE(nr.usable());
-    const auto fp = model.solve_fixed_point(1000, 1e-12);
-    ASSERT_TRUE(fp.converged);
-    const auto newton_decoded = model.decode(nr.x);
-    EXPECT_NEAR(newton_decoded.total_loss_rate,
-                fp.solution.total_loss_rate,
-                0.02 * std::max(0.1, fp.solution.total_loss_rate));
-}
-
-TEST(Newton, FullStepModeAlsoReported) {
-    // Both globalized and plain-Newton modes are exposed; the bench
-    // compares their robustness explicitly.
-    const auto model = figure1_model();
-    socbuf::rng::RandomEngine eng(19);
-    sn::NewtonOptions plain;
-    plain.line_search = false;
-    const auto nr = sn::solve_newton(model, model.initial_random(eng), plain);
-    // Either it converges or it reports a diagnosable failure; it must
-    // never return kConverged with an infeasible point undetected.
-    if (nr.outcome == sn::NewtonOutcome::kConverged) {
-        const auto d = model.decode(nr.x);
-        EXPECT_TRUE(d.feasible);
-    }
-}
-
-TEST(Newton, ReportsOutcomeStrings) {
-    EXPECT_STREQ(sn::to_string(sn::NewtonOutcome::kConverged), "converged");
-    EXPECT_STREQ(sn::to_string(sn::NewtonOutcome::kDiverged), "diverged");
-    EXPECT_STREQ(sn::to_string(sn::NewtonOutcome::kLineSearchFailed),
-                 "line-search-failed");
-}
-
-TEST(Newton, DimensionMismatchRejected) {
-    const auto model = figure1_model();
-    EXPECT_THROW((void)sn::solve_newton(model, socbuf::linalg::Vector(3, 0.1)),
-                 socbuf::util::ContractViolation);
 }
 
 TEST(CoupledModel, LossDecreasesWithLargerCaps) {

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstddef>
 #include <string>
+#include <utility>
 
 namespace sm = socbuf::ctmdp;
 
@@ -68,34 +69,61 @@ TEST(SolveFingerprint, RateAndOptionChangesChangeTheKey) {
     EXPECT_NE(sm::solve_fingerprint(base, tighter), key);
 }
 
+namespace {
+
+/// Every field of a SubsystemSolution, compared bit for bit.
+void expect_same_solution(const sm::SubsystemSolution& got,
+                          const sm::SubsystemSolution& want) {
+    EXPECT_EQ(got.gain, want.gain);
+    EXPECT_EQ(got.stationary, want.stationary);
+    EXPECT_EQ(got.occupation, want.occupation);
+    ASSERT_EQ(got.policy.state_count(), want.policy.state_count());
+    for (std::size_t s = 0; s < want.policy.state_count(); ++s)
+        EXPECT_EQ(got.policy.distribution(s), want.policy.distribution(s))
+            << "state " << s;
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.switching_states, want.switching_states);
+    EXPECT_EQ(got.solved_by, want.solved_by);
+    EXPECT_EQ(got.converged, want.converged);
+}
+
+}  // namespace
+
 TEST(SolveCache, CountsHitsAndMissesAndReturnsIdenticalBits) {
-    sm::SolverRegistry registry;
-    sm::SolveCache cache;
-    const sm::DispatchOptions opts;
     const auto model = queue_model(5, 0.9);
+    const std::pair<sm::SolverChoice, sm::SolverKind> rungs[] = {
+        {sm::SolverChoice::kLp, sm::SolverKind::kLp},
+        {sm::SolverChoice::kPolicyIteration, sm::SolverKind::kPolicyIteration},
+        {sm::SolverChoice::kValueIteration, sm::SolverKind::kValueIteration},
+    };
+    for (const auto& [choice, kind] : rungs) {
+        SCOPED_TRACE(sm::to_string(kind));
+        sm::SolverRegistry registry;
+        sm::SolveCache cache;
+        sm::DispatchOptions opts;
+        opts.choice = choice;
 
-    const auto direct = registry.solve(model, opts);
-    const auto first = cache.solve(registry, model, opts);
-    EXPECT_EQ(cache.stats().hits, 0u);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.size(), 1u);
+        const auto direct = registry.solve(model, opts);
+        ASSERT_EQ(direct.solved_by, kind);
+        const auto first = cache.solve(registry, model, opts);
+        EXPECT_EQ(cache.stats().hits, 0u);
+        EXPECT_EQ(cache.stats().misses, 1u);
+        EXPECT_EQ(cache.size(), 1u);
 
-    const auto second = cache.solve(registry, model, opts);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_DOUBLE_EQ(cache.stats().hit_rate(), 0.5);
+        const auto second = cache.solve(registry, model, opts);
+        EXPECT_EQ(cache.stats().hits, 1u);
+        EXPECT_EQ(cache.stats().misses, 1u);
+        EXPECT_DOUBLE_EQ(cache.stats().hit_rate(), 0.5);
 
-    // The cached copy is bit-identical to both the first pass and a direct
-    // registry solve — a hit is indistinguishable from solving.
-    EXPECT_EQ(second.gain, first.gain);
-    EXPECT_EQ(second.gain, direct.gain);
-    EXPECT_EQ(second.stationary, first.stationary);
-    EXPECT_EQ(second.occupation, first.occupation);
-    EXPECT_EQ(second.solved_by, first.solved_by);
+        // The cached copy is bit-identical to both the first pass and a
+        // direct registry solve — a hit is indistinguishable from solving.
+        expect_same_solution(second, first);
+        expect_same_solution(second, direct);
 
-    // Registry counters advanced once for the direct solve and once for
-    // the miss; the hit did no solver work.
-    EXPECT_EQ(registry.stats().total_solves(), 2u);
+        // Registry counters advanced once for the direct solve and once
+        // for the miss; the hit did no solver work.
+        EXPECT_EQ(registry.stats().total_solves(), 2u);
+    }
 }
 
 TEST(SolveCache, DistinctModelsGetDistinctEntries) {

@@ -204,7 +204,7 @@ TEST(ParallelVi, OccupationAndPolicyCostMatchSerialOnTheViRung) {
     fanned_options.solver.vi.executor = &executor;
     const auto fanned = registry.solve(model, fanned_options);
     EXPECT_EQ(serial.gain, fanned.gain);
-    EXPECT_EQ(serial.bias, fanned.bias);
+    EXPECT_EQ(serial.iterations, fanned.iterations);
     EXPECT_EQ(serial.stationary, fanned.stationary);
     EXPECT_EQ(serial.occupation, fanned.occupation);
     const double cost_serial =
