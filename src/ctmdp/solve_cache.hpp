@@ -5,12 +5,20 @@
 // replication re-sizes the same (system, budget), and sweep variants share
 // subsystems — and every one of those re-solves an LP / value iteration
 // that was already solved. The cache keys solutions by a canonical
-// fingerprint of (model, dispatch options): an exact byte-level encoding
-// of every state, action, cost and transition rate plus every
-// solve-relevant knob, so two keys collide only when the solves would be
-// bit-identical anyway. That makes a cache hit indistinguishable from a
-// fresh solve, which is what keeps BatchRunner's determinism contract
-// intact when many threads share one cache.
+// fingerprint of (model, dispatch options): a lossless byte encoding of
+// every state, action, cost and transition rate plus every solve-relevant
+// knob, so two keys collide only when the solves would be bit-identical
+// anyway. That makes a cache hit indistinguishable from a fresh solve,
+// which is what keeps BatchRunner's determinism contract intact when many
+// threads share one cache.
+//
+// The key is compact because large subsystem models are large keys
+// (the 16384-state np ingress bus has ~530 k transitions): counts are
+// varints, each transition target is a zig-zag varint delta from its
+// state, and each double is a varint index into the key's own table of
+// distinct bit patterns, defined inline at first appearance. Each
+// resident key is held once — moved into its LRU list node, with the
+// lookup index viewing it there — and counted once in bytes_resident.
 //
 // Each key is solved exactly once while it is resident: the first
 // requester claims it and solves *outside* the lock while later
@@ -44,6 +52,7 @@
 #include <list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -51,8 +60,9 @@ namespace socbuf::ctmdp {
 
 /// Canonical byte encoding of everything that determines a solve's result:
 /// the full model (states, actions, costs, transitions, rates — doubles
-/// encoded bit-exactly) and the dispatch/solver options. Equal fingerprints
-/// <=> registry.solve would return identical bits.
+/// compared and encoded by bit pattern) as a self-delimiting block, then
+/// the dispatch/solver options as a fixed-width block. Lossless, so equal
+/// fingerprints <=> registry.solve would return identical bits.
 [[nodiscard]] std::string solve_fingerprint(const CtmdpModel& model,
                                             const DispatchOptions& options);
 
@@ -136,9 +146,11 @@ private:
     std::list<Entry> entries_;  // front = most recently used
     // Lookup-only index: find/emplace/erase by exact fingerprint, never
     // iterated — recency (and therefore eviction order) lives in the
-    // entries_ list, so hash order cannot reach results or reports.
+    // entries_ list, so hash order cannot reach results or reports. Its
+    // keys view the fingerprint held in the entry's list node (stable
+    // while the entry lives; drop_entry unindexes before erasing).
     // socbuf-lint: allow(unordered-container) — keyed lookups only; eviction order comes from entries_.
-    std::unordered_map<std::string, EntryIter> index_;
+    std::unordered_map<std::string_view, EntryIter> index_;
     std::size_t byte_budget_ = 0;
     std::size_t hits_ = 0;
     std::size_t misses_ = 0;

@@ -1,16 +1,23 @@
+#include "arch/presets.hpp"
+#include "core/subsystem_model.hpp"
 #include "ctmdp/model.hpp"
 #include "ctmdp/solve_cache.hpp"
 #include "ctmdp/solver.hpp"
 #include "exec/executor.hpp"
 #include "exec/thread_pool.hpp"
+#include "split/splitter.hpp"
 #include "util/contracts.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace sm = socbuf::ctmdp;
 
@@ -67,6 +74,191 @@ TEST(SolveFingerprint, RateAndOptionChangesChangeTheKey) {
     sm::DispatchOptions tighter = opts;
     tighter.solver.vi.tolerance = 1e-8;
     EXPECT_NE(sm::solve_fingerprint(base, tighter), key);
+}
+
+namespace {
+
+/// Rebuild `base` with the actions of state `s` replaced by `actions`.
+sm::CtmdpModel with_state_actions(const sm::CtmdpModel& base, std::size_t s,
+                                  const std::vector<sm::Action>& actions) {
+    sm::CtmdpModel m(base.extra_cost_count());
+    for (std::size_t i = 0; i < base.state_count(); ++i)
+        m.add_state("q" + std::to_string(i));
+    for (std::size_t i = 0; i < base.state_count(); ++i) {
+        if (i == s) {
+            for (const auto& action : actions) m.add_action(i, action);
+            continue;
+        }
+        for (std::size_t a = 0; a < base.action_count(i); ++a)
+            m.add_action(i, base.action(i, a));
+    }
+    return m;
+}
+
+/// The actions of state `s` of `m`, for editing.
+std::vector<sm::Action> actions_of(const sm::CtmdpModel& m, std::size_t s) {
+    std::vector<sm::Action> out;
+    for (std::size_t a = 0; a < m.action_count(s); ++a)
+        out.push_back(m.action(s, a));
+    return out;
+}
+
+double from_bits(std::uint64_t bits) {
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
+
+}  // namespace
+
+TEST(SolveFingerprint, EveryBitOfTheModelIsInTheKey) {
+    const sm::DispatchOptions opts;
+    const auto base = queue_model(4, 0.8);
+    const std::string key = sm::solve_fingerprint(base, opts);
+    const auto key_of = [&](std::size_t s,
+                            const std::vector<sm::Action>& actions) {
+        return sm::solve_fingerprint(with_state_actions(base, s, actions),
+                                     opts);
+    };
+    // Rebuilding with unchanged actions reproduces the key exactly.
+    ASSERT_EQ(key_of(2, actions_of(base, 2)), key);
+
+    // The last ulp of one rate.
+    auto nudged = actions_of(base, 2);
+    nudged[1].transitions[1].rate =
+        std::nextafter(nudged[1].transitions[1].rate, 10.0);
+    EXPECT_NE(key_of(2, nudged), key);
+
+    // +0.0 vs -0.0, at a point where +0.0 (state 0's slow cost) is
+    // already in the key's table: equal values, different patterns.
+    ASSERT_EQ(base.action(0, 0).cost, 0.0);
+    ASSERT_FALSE(std::signbit(base.action(0, 0).cost));
+    auto positive_zero = actions_of(base, 1);
+    auto negative_zero = positive_zero;
+    positive_zero[0].cost = 0.0;
+    negative_zero[0].cost = -0.0;
+    EXPECT_NE(key_of(1, negative_zero), key_of(1, positive_zero));
+
+    // Two NaNs that differ only in their payload.
+    auto nan_a = actions_of(base, 1);
+    auto nan_b = nan_a;
+    nan_a[0].cost = from_bits(0x7ff8000000000001ULL);
+    nan_b[0].cost = from_bits(0x7ff8000000000002ULL);
+    ASSERT_TRUE(std::isnan(nan_a[0].cost) && std::isnan(nan_b[0].cost));
+    EXPECT_NE(key_of(1, nan_a), key_of(1, nan_b));
+    EXPECT_EQ(key_of(1, nan_a), key_of(1, nan_a));
+
+    // Two transitions' targets swapped (rates stay in place).
+    auto swapped = actions_of(base, 2);
+    std::swap(swapped[0].transitions[0].target,
+              swapped[0].transitions[1].target);
+    EXPECT_NE(key_of(2, swapped), key);
+
+    // Two actions reordered.
+    auto reordered = actions_of(base, 2);
+    std::swap(reordered[0], reordered[1]);
+    EXPECT_NE(key_of(2, reordered), key);
+
+    // A rate that repeats an earlier value vs a value seen nowhere else:
+    // a back-reference and a fresh table entry must never read the same.
+    auto repeated = actions_of(base, 3);
+    auto fresh = repeated;
+    repeated[1].transitions[1].rate = 0.8;  // the arrival rate, seen before
+    fresh[1].transitions[1].rate = 0.625;   // appears nowhere in the model
+    const std::string repeated_key = key_of(3, repeated);
+    const std::string fresh_key = key_of(3, fresh);
+    EXPECT_NE(repeated_key, fresh_key);
+    EXPECT_NE(repeated_key, key);
+    EXPECT_NE(fresh_key, key);
+    // A fresh value costs its eight raw bytes once; repeats cost an index.
+    EXPECT_GT(fresh_key.size(), repeated_key.size());
+}
+
+namespace {
+
+/// A model from per-state action lists; every action costs 1.0.
+sm::CtmdpModel model_of(
+    const std::vector<std::vector<std::vector<sm::Transition>>>& states) {
+    sm::CtmdpModel m;
+    for (std::size_t i = 0; i < states.size(); ++i)
+        m.add_state("s" + std::to_string(i));
+    for (std::size_t i = 0; i < states.size(); ++i) {
+        for (const auto& transitions : states[i]) {
+            sm::Action action;
+            action.transitions = transitions;
+            action.cost = 1.0;
+            m.add_action(i, action);
+        }
+    }
+    return m;
+}
+
+}  // namespace
+
+TEST(SolveFingerprint, CountsKeepMovedItemsApart) {
+    // Every double below is 1.0 (table index 0), so a self-loop at rate
+    // 1.0 (delta 0, index 0) encodes as the same bytes as an action
+    // header without extra costs (cost index 0, extra count 0), and a
+    // transition-free action reads the same in either state. Only the
+    // transition and action counts tell the two models of each pair
+    // apart.
+    const sm::DispatchOptions opts;
+    const sm::Transition to0{0, 1.0};
+    const sm::Transition to1{1, 1.0};
+    const sm::Transition loop{1, 1.0};  // at state 1
+    // A transition moved from the end of one action to the start of the
+    // next.
+    EXPECT_NE(sm::solve_fingerprint(model_of({{{to1}}, {{to0, loop}, {to0}}}),
+                                    opts),
+              sm::solve_fingerprint(model_of({{{to1}}, {{to0}, {loop, to0}}}),
+                                    opts));
+    // An action moved from the end of one state to the start of the next.
+    EXPECT_NE(sm::solve_fingerprint(model_of({{{to1}, {}}, {{to0}}}), opts),
+              sm::solve_fingerprint(model_of({{{to1}}, {{}, {to0}}}), opts));
+}
+
+TEST(SolveFingerprint, ExtraCostsAreInTheKey) {
+    const auto key_with_extra_cost = [](double extra) {
+        sm::CtmdpModel m(1);
+        m.add_state("s0");
+        sm::Action action;
+        action.transitions = {{0, 1.0}};
+        action.cost = 1.0;
+        action.extra_costs = {extra};
+        m.add_action(0, action);
+        return sm::solve_fingerprint(m, {});
+    };
+    EXPECT_EQ(key_with_extra_cost(2.5), key_with_extra_cost(2.5));
+    EXPECT_NE(key_with_extra_cost(2.5), key_with_extra_cost(1.0));
+}
+
+namespace {
+
+/// The np-cluster-scaling ingress bus at pe = 6, cap = 3: 16384 states,
+/// the largest model any preset solves.
+sm::CtmdpModel np_ingress_model() {
+    socbuf::arch::NetworkProcessorParams params;
+    params.pe_per_cluster = 6;
+    const auto sys = socbuf::arch::network_processor_system(params);
+    const auto split = socbuf::split::split_architecture(sys);
+    const socbuf::split::Subsystem* bus = nullptr;
+    for (const auto& sub : split.subsystems)
+        if (sub.bus_name == "ingress") bus = &sub;
+    std::vector<long> caps(bus->flows.size(), 3);
+    std::vector<double> rates;
+    for (const auto& f : bus->flows) rates.push_back(f.arrival_rate);
+    return socbuf::core::SubsystemCtmdp(*bus, caps, rates).model();
+}
+
+}  // namespace
+
+TEST(SolveFingerprint, LargestPresetModelKeyStaysCompact) {
+    // The fixed-width encoding took 16 B per transition (11.4 MB here);
+    // the cache holds one such key per resident large entry.
+    const auto model = np_ingress_model();
+    ASSERT_EQ(model.state_count(), 16384u);
+    const std::string key = sm::solve_fingerprint(model, {});
+    EXPECT_LE(key.size(), std::size_t{2} << 20);
 }
 
 namespace {
@@ -407,6 +599,21 @@ TEST(SolveCache, BytesResidentTracksEntriesAcrossEvictionAndClear) {
 
     cache.clear();
     EXPECT_EQ(cache.stats().bytes_resident, 0u);
+
+    // An entry counts its key once: two models of the same shape (same
+    // solution vector sizes) whose keys differ by d bytes differ by
+    // exactly d resident bytes.
+    const auto short_model = queue_model(4, 0.8);
+    auto longer = actions_of(short_model, 3);
+    longer[1].transitions[1].rate = 0.625;  // a new table entry
+    const auto long_model = with_state_actions(short_model, 3, longer);
+    const std::size_t short_key =
+        sm::solve_fingerprint(short_model, opts).size();
+    const std::size_t long_key =
+        sm::solve_fingerprint(long_model, opts).size();
+    ASSERT_GT(long_key, short_key);
+    EXPECT_EQ(entry_bytes(long_model) - entry_bytes(short_model),
+              long_key - short_key);
 }
 
 TEST(SolveCache, ByteBudgetEvictsLruUntilBackUnderBudget) {
