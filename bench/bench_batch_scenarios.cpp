@@ -27,7 +27,6 @@
 #include "exec/executor.hpp"
 #include "exec/thread_pool.hpp"
 #include "scenario/batch_runner.hpp"
-#include "scenario/builder.hpp"
 #include "scenario/scenario.hpp"
 #include "session/session.hpp"
 #include "util/json.hpp"
@@ -50,19 +49,21 @@ using socbuf::SessionOptions;
 using socbuf::scenario::BatchOptions;
 using socbuf::scenario::BatchReport;
 using socbuf::scenario::BatchRunner;
-using socbuf::scenario::ScenarioBuilder;
 using socbuf::scenario::ScenarioSpec;
 
 /// The np-baseline budget sweep (Table 1's rows) at a bench-friendly
 /// horizon: 3 sizing jobs + 3 x reps evaluation jobs per run.
 ScenarioSpec sweep_spec() {
-    return ScenarioBuilder("np-budget-sweep")
-        .budgets({160, 320, 640})
-        .replications(5)
-        .sizing_iterations(6)
-        .horizon(2000.0, 200.0)
-        .seed(2005)
-        .build();
+    ScenarioSpec spec;
+    spec.name = "np-budget-sweep";
+    spec.budgets = {160, 320, 640};
+    spec.replications = 5;
+    spec.sizing_iterations = 6;
+    spec.sim.horizon = 2000.0;
+    spec.sim.warmup = 200.0;
+    spec.sim.seed = 2005;
+    spec.validate();
+    return spec;
 }
 
 double seconds_of(const std::function<void()>& body) {

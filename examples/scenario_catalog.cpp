@@ -1,10 +1,8 @@
-// Scenarios as data, end to end: build a spec with the fluent
-// ScenarioBuilder, serialize it to JSON, load it back through a
-// registry, and run both through one socbuf::Session — proving the file
-// trip changes nothing.
+// Scenarios as data, end to end: define a spec in code, serialize it to
+// JSON, load it back through a registry, and run both through one
+// socbuf::Session — proving the file trip changes nothing.
 //
 //   $ ./scenario_catalog
-#include "scenario/builder.hpp"
 #include "scenario/scenario_io.hpp"
 #include "session/session.hpp"
 
@@ -13,24 +11,21 @@
 int main() {
     using namespace socbuf;
 
-    // 1. Define a small load sweep fluently — build() validates, so a
-    //    malformed chain fails here, not mid-batch.
-    arch::NetworkProcessorParams light;
-    light.load_scale = 0.8;
-    arch::NetworkProcessorParams heavy;
-    heavy.load_scale = 1.15;
-    scenario::ScenarioSpec sweep =
-        scenario::ScenarioBuilder("example-load-sweep")
-            .description("80%/115% offered load on the network processor")
-            .testbench(scenario::Testbench::kNetworkProcessor)
-            .variant("load=0.80", light)
-            .variant("load=1.15", heavy)
-            .budgets({160})
-            .replications(2)
-            .sizing_iterations(3)
-            .horizon(600.0, 60.0)
-            .seed(7)
-            .build();
+    // 1. Define a small load sweep: set the fields, then validate(), so a
+    //    malformed spec fails here, not mid-batch.
+    scenario::ScenarioSpec sweep;
+    sweep.name = "example-load-sweep";
+    sweep.description = "80%/115% offered load on the network processor";
+    sweep.variants = {{"load=0.80", {}}, {"load=1.15", {}}};
+    sweep.variants[0].np.load_scale = 0.8;
+    sweep.variants[1].np.load_scale = 1.15;
+    sweep.budgets = {160};
+    sweep.replications = 2;
+    sweep.sizing_iterations = 3;
+    sweep.sim.horizon = 600.0;
+    sweep.sim.warmup = 60.0;
+    sweep.sim.seed = 7;
+    sweep.validate();
 
     // 2. The spec is data: dump it, parse it back, and verify the round
     //    trip is exact (the scenario_io contract).

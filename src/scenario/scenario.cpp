@@ -8,21 +8,6 @@
 
 namespace socbuf::scenario {
 
-const char* to_string(Testbench testbench) {
-    switch (testbench) {
-        case Testbench::kFigure1: return "figure1";
-        case Testbench::kNetworkProcessor: return "network-processor";
-    }
-    return "?";
-}
-
-bool testbench_from_string(const std::string& text, Testbench& out) {
-    if (text == "figure1") out = Testbench::kFigure1;
-    else if (text == "network-processor") out = Testbench::kNetworkProcessor;
-    else return false;
-    return true;
-}
-
 bool operator==(const ScenarioVariant& a, const ScenarioVariant& b) {
     return a.label == b.label && a.np == b.np;
 }

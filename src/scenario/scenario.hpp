@@ -34,6 +34,8 @@ struct ScenarioDocument;  // scenario_io.hpp
 /// Which reconstructed system a scenario runs on.
 enum class Testbench { kFigure1, kNetworkProcessor };
 
+/// Schema names ("figure1", "network-processor"), defined beside the
+/// other enum name tables in scenario_io.cpp.
 [[nodiscard]] const char* to_string(Testbench testbench);
 /// Inverse of to_string; false when `text` names no testbench.
 [[nodiscard]] bool testbench_from_string(const std::string& text,

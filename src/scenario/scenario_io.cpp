@@ -3,17 +3,235 @@
 #include "util/contracts.hpp"
 #include "util/strings.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
-#include <set>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 namespace socbuf::scenario {
 
 namespace {
 
-const char* kind_name(const util::JsonValue& value) {
-    switch (value.kind()) {
+// ------------------------------------------------------------ enum names
+
+/// One schema name of an enum value. Each table is the single source of
+/// its enum's to_string, *_from_string and "expected a, b or c" text.
+template <class E>
+struct Name {
+    E value;
+    const char* text;
+};
+
+constexpr Name<Testbench> kTestbenchNames[] = {
+    {Testbench::kFigure1, "figure1"},
+    {Testbench::kNetworkProcessor, "network-processor"},
+};
+constexpr Name<core::SolverChoice> kSolverNames[] = {
+    {core::SolverChoice::kAuto, "auto"},
+    {core::SolverChoice::kLp, "lp"},
+    {core::SolverChoice::kValueIteration, "value-iteration"},
+    {core::SolverChoice::kPolicyIteration, "policy-iteration"},
+};
+constexpr Name<sim::ArbiterKind> kArbiterNames[] = {
+    {sim::ArbiterKind::kFixedPriority, "fixed-priority"},
+    {sim::ArbiterKind::kRoundRobin, "round-robin"},
+    {sim::ArbiterKind::kLongestQueue, "longest-queue"},
+    {sim::ArbiterKind::kWeightedRandom, "weighted-random"},
+};
+
+const auto& names_of(Testbench) { return kTestbenchNames; }
+const auto& names_of(core::SolverChoice) { return kSolverNames; }
+const auto& names_of(sim::ArbiterKind) { return kArbiterNames; }
+
+template <class E>
+const char* name_of(E value) {
+    for (const auto& name : names_of(value))
+        if (name.value == value) return name.text;
+    return "?";
+}
+
+template <class E>
+bool value_of(const std::string& text, E& out) {
+    for (const auto& name : names_of(out)) {
+        if (text == name.text) {
+            out = name.value;
+            return true;
+        }
+    }
+    return false;
+}
+
+template <class E>
+std::string expected_names() {
+    const auto& names = names_of(E{});
+    std::string out;
+    for (std::size_t i = 0; i < std::size(names); ++i) {
+        if (i > 0) out += i + 1 < std::size(names) ? ", " : " or ";
+        out += names[i].text;
+    }
+    return out;
+}
+
+// ------------------------------------------------------------ paths, rules
+
+/// A JSON path as a chain of steps back to the root, spelled out only
+/// when a diagnostic needs it — reading builds no path text.
+struct Path {
+    const Path* parent = nullptr;  // nullptr: `key` is the root's text
+    const char* key = nullptr;     // a ".key" step; nullptr: "[index]"
+    std::size_t index = 0;
+
+    [[nodiscard]] std::string str() const {
+        if (parent == nullptr) return key;
+        if (key != nullptr) return parent->str() + "." + key;
+        return parent->str() + "[" + std::to_string(index) + "]";
+    }
+};
+
+[[noreturn]] void fail(const Path& at, const std::string& what) {
+    throw ScenarioIoError(at.str(), what);
+}
+
+enum RuleFlag : unsigned {
+    kPositive = 1U << 0,       // numbers: > 0
+    kNonEmpty = 1U << 1,       // a string or list: not empty
+    kNonEmptyItems = 1U << 2,  // each string of a list: not empty
+    kRequired = 1U << 3,       // absent is an error, not the default
+    kSinceV2 = 1U << 4,        // unknown below schema version 2, required
+                               // (blamed at its own path) from it on
+};
+
+/// What a value must satisfy beyond its JSON kind. Whole numbers are also
+/// bounded by their member's type; in a list, the number rules apply to
+/// each element.
+struct Rule {
+    unsigned flags = 0;
+    double min = -std::numeric_limits<double>::infinity();
+    double max = std::numeric_limits<double>::infinity();
+
+    // Implicit, so a row can name its flags alone.
+    constexpr Rule(unsigned flag_set = 0) : flags(flag_set) {}
+    [[nodiscard]] constexpr bool has(RuleFlag flag) const {
+        return (flags & flag) != 0;
+    }
+};
+
+constexpr Rule within(double min, double max, unsigned flags = 0) {
+    Rule rule(flags);
+    rule.min = min;
+    rule.max = max;
+    return rule;
+}
+constexpr Rule at_least(double min, unsigned flags = 0) {
+    return within(min, std::numeric_limits<double>::infinity(), flags);
+}
+
+// Keys that the cross-field checks name besides their own rows.
+constexpr char kHorizon[] = "horizon";
+constexpr char kWarmup[] = "warmup";
+constexpr char kClusterPe[] = "cluster_pe";
+
+// ------------------------------------------------------------ the schema
+//
+// One field list per schema object, one row per key: JSON key, member and
+// rule. The strict reader and the writer both walk these lists, so key
+// order, range rules and $.path diagnostics have one source;
+// scenarios/README.md documents the same keys (scenario_io_test checks
+// that the two sets agree). Member<V, T> is T for the reader and const T
+// for the writer.
+
+template <class V, class T>
+using Member = std::conditional_t<V::kWrites, const T, T>;
+
+template <class V>
+void fields(V& v, Member<V, arch::NetworkProcessorParams>& np) {
+    v("pe_per_cluster", np.pe_per_cluster, at_least(2));
+    v("bus_rate_scale", np.bus_rate_scale, kPositive);
+    v("load_scale", np.load_scale, kPositive);
+    v(kClusterPe, np.cluster_pe, at_least(2));
+    v("crypto_cluster", np.crypto_cluster);
+}
+
+template <class V>
+void fields(V& v, Member<V, ScenarioVariant>& variant) {
+    v("label", variant.label);
+    v("np", variant.np);
+}
+
+template <class V>
+void fields(V& v, Member<V, InsertionSpec>& insertion) {
+    v("search", insertion.search);
+    v("candidates", insertion.candidates, kNonEmptyItems);
+    v("processor_site_cost", insertion.processor_site_cost, kPositive);
+    v("bridge_site_cost", insertion.bridge_site_cost, kPositive);
+    v("exhaustive_limit", insertion.exhaustive_limit);
+}
+
+template <class V>
+void fields(V& v, Member<V, sim::SimConfig>& sim) {
+    v(kHorizon, sim.horizon, kPositive);
+    v(kWarmup, sim.warmup, at_least(0));
+    v("seed", sim.seed);
+    v("arbiter", sim.arbiter);
+}
+
+template <class V>
+void fields(V& v, Member<V, BatchPreset>& batch) {
+    v("name", batch.name, kRequired | kNonEmpty);
+    v("description", batch.description);
+    v("scenarios", batch.scenarios, kRequired | kNonEmpty | kNonEmptyItems);
+}
+
+/// The version is the document's, not the spec's: the reader records the
+/// declared one (absent = legacy), the writer stamps the current one. It
+/// comes first, so a version this reader does not speak fails on that
+/// line rather than on whichever changed key follows.
+template <class V>
+void fields(V& v, Member<V, ScenarioSpec>& spec) {
+    v("version", v.version,
+      within(kLegacyScenarioSchemaVersion, kScenarioSchemaVersion));
+    v("name", spec.name, kRequired | kNonEmpty);
+    v("description", spec.description);
+    v("testbench", spec.testbench);
+    v("variants", spec.variants, kNonEmpty);
+    v("budgets", spec.budgets, at_least(1, kNonEmpty));
+    v("replications", spec.replications, at_least(1));
+    v("sizing_iterations", spec.sizing_iterations, at_least(1));
+    v("sizing_eval_replications", spec.sizing_eval_replications, at_least(1));
+    v("solver", spec.solver);
+    v("gauss_seidel", spec.gauss_seidel);
+    v("modulated_models", spec.use_modulated_models);
+    v("evaluate_timeout_policy", spec.evaluate_timeout_policy);
+    v("timeout_threshold_scale", spec.timeout_threshold_scale, kPositive);
+    v("calibration_replications", spec.calibration_replications, at_least(1));
+    v("insertion", spec.insertion, kSinceV2);
+    v("sim", spec.sim);
+}
+
+template <class V>
+void fields(V& v, Member<V, ScenarioDocument>& document) {
+    v("scenarios", document.scenarios, kRequired | kNonEmpty);
+    v("batches", document.batches);
+}
+
+// ------------------------------------------------------------ reading
+
+template <class T>
+struct IsList : std::false_type {};
+template <class T>
+struct IsList<std::vector<T>> : std::true_type {};
+
+/// The largest magnitude a JSON number (a double) holds exactly as a
+/// whole number.
+constexpr std::int64_t kMaxExactWhole = std::int64_t{1} << 53;
+
+const char* kind_name(util::JsonValue::Kind kind) {
+    switch (kind) {
         case util::JsonValue::Kind::kNull: return "null";
         case util::JsonValue::Kind::kBool: return "a boolean";
         case util::JsonValue::Kind::kNumber: return "a number";
@@ -24,514 +242,290 @@ const char* kind_name(const util::JsonValue& value) {
     return "?";
 }
 
-[[noreturn]] void fail(const std::string& path, const std::string& what) {
-    throw ScenarioIoError(path, what);
+const util::JsonValue& expect(const util::JsonValue& value,
+                              util::JsonValue::Kind kind, const Path& at) {
+    if (value.kind() != kind)
+        fail(at, std::string("expected ") + kind_name(kind) + ", got " +
+                     kind_name(value.kind()));
+    return value;
 }
 
-/// Strict object access: every key read is remembered, finish() rejects
-/// whatever was not — the unknown-key diagnostic names the exact path.
-class ObjectReader {
+template <class T>
+void read_value(const util::JsonValue& value, const Path& at, T& out,
+                const Rule& rule);
+
+/// Strict reader of one JSON object: each row claims its key, finish()
+/// rejects whatever no row claimed.
+class Reader {
 public:
-    ObjectReader(const util::JsonValue& value, std::string path)
-        : value_(value), path_(std::move(path)) {
-        if (!value_.is_object())
-            fail(path_, std::string("expected an object, got ") +
-                            kind_name(value_));
+    static constexpr bool kWrites = false;
+    int version = kLegacyScenarioSchemaVersion;
+
+    Reader(const util::JsonValue& object, const Path& path)
+        : object_(expect(object, util::JsonValue::Kind::kObject, path)),
+          path_(path) {}
+
+    template <class T>
+    void operator()(const char* key, T& member, const Rule& rule = {}) {
+        // Below version 2 a v2 row is skipped: its key stays unclaimed, so
+        // a legacy document naming it fails as an unknown key.
+        if (rule.has(kSinceV2) && version < kScenarioSchemaVersion) return;
+        if (const util::JsonValue* value = claim(key))
+            read_value(*value, Path{&path_, key}, member, rule);
+        else if (rule.has(kSinceV2))
+            fail(Path{&path_, key},
+                 "required at schema version 2 (declare at least "
+                 "{\"search\": false})");
+        else if (rule.has(kRequired))
+            fail(path_, std::string("missing required key '") + key + "'");
     }
 
-    /// The member, or nullptr when absent (absent = keep the default).
-    const util::JsonValue* find(const std::string& key) {
-        seen_.insert(key);
-        return value_.contains(key) ? &value_.at(key) : nullptr;
-    }
-
-    const util::JsonValue& require(const std::string& key) {
-        const util::JsonValue* member = find(key);
-        if (member == nullptr) fail(path_, "missing required key '" + key + "'");
-        return *member;
-    }
-
+    /// Rejects the first member (in document order) no row claimed. Rows
+    /// are far fewer than 64, so an object with more members has an
+    /// unclaimed one among its first 64 and fails there.
     void finish() const {
-        for (const auto& [key, member] : value_.members()) {
-            (void)member;
-            if (seen_.count(key) == 0)
-                fail(path_ + "." + key, "unknown key");
-        }
+        const auto& members = object_.members();
+        for (std::size_t i = 0; i < members.size(); ++i)
+            if (i >= 64 || ((claimed_ >> i) & 1U) == 0)
+                fail(Path{&path_, members[i].first.c_str()}, "unknown key");
     }
 
-    [[nodiscard]] const std::string& path() const { return path_; }
+    [[nodiscard]] bool has(const char* key) const {
+        return object_.contains(key);
+    }
+    [[nodiscard]] const Path& path() const { return path_; }
 
 private:
-    const util::JsonValue& value_;
-    std::string path_;
-    std::set<std::string> seen_;
+    const util::JsonValue* claim(const char* key) {
+        const auto& members = object_.members();
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            if (members[i].first != key) continue;
+            if (i < 64) claimed_ |= std::uint64_t{1} << i;
+            return &members[i].second;
+        }
+        return nullptr;
+    }
+
+    const util::JsonValue& object_;
+    const Path& path_;
+    std::uint64_t claimed_ = 0;  // bit i: member i was read by a row
 };
 
-double read_number(const util::JsonValue& value, const std::string& path) {
-    if (value.kind() != util::JsonValue::Kind::kNumber)
-        fail(path, std::string("expected a number, got ") + kind_name(value));
-    return value.as_number();
+// Cross-field rules, run once an object's rows are read and its keys
+// checked (no-op for the objects that have none).
+template <class T>
+void check(const Reader&, const T&) {}
+
+void check(const Reader& reader, const arch::NetworkProcessorParams& np) {
+    if (!np.cluster_pe.empty() && np.cluster_pe.size() != 4)
+        fail(Path{&reader.path(), kClusterPe},
+             "must be empty or name all four clusters (ingress, classify, "
+             "crypto, egress)");
 }
 
-bool read_bool(const util::JsonValue& value, const std::string& path) {
-    if (value.kind() != util::JsonValue::Kind::kBool)
-        fail(path, std::string("expected a boolean, got ") + kind_name(value));
-    return value.as_bool();
+void check(const Reader& reader, const sim::SimConfig& sim) {
+    if (sim.warmup < sim.horizon) return;
+    // Blame the key the document actually wrote: with no explicit warmup
+    // the conflict comes from the horizon undercutting the *default*
+    // warmup, which would otherwise be invisible.
+    const Path warmup{&reader.path(), kWarmup};
+    if (reader.has(kWarmup))
+        fail(warmup, "must be below the simulation horizon");
+    fail(Path{&reader.path(), kHorizon},
+         "must exceed the default warmup (" +
+             util::format_compact(sim.warmup) + "); set " + warmup.str() +
+             " explicitly");
 }
 
-std::string read_string(const util::JsonValue& value,
-                        const std::string& path) {
-    if (value.kind() != util::JsonValue::Kind::kString)
-        fail(path, std::string("expected a string, got ") + kind_name(value));
-    return value.as_string();
-}
-
-/// A whole number >= `min`. JSON numbers are doubles; fractions and
-/// magnitudes past 2^53 (where doubles lose exactness) are malformed.
-long long read_integer(const util::JsonValue& value, const std::string& path,
-                       long long min) {
-    const double number = read_number(value, path);
-    if (std::floor(number) != number || std::abs(number) > 9.007199254740992e15)
-        fail(path, "expected a whole number");
-    const auto integer = static_cast<long long>(number);
-    if (integer < min)
-        fail(path, "must be >= " + std::to_string(min));
-    return integer;
-}
-
-const util::JsonValue& element(const util::JsonValue& array,
-                               const std::string& path) {
-    if (!array.is_array())
-        fail(path, std::string("expected an array, got ") + kind_name(array));
-    return array;
-}
-
-std::string at_index(const std::string& path, std::size_t index) {
-    return path + "[" + std::to_string(index) + "]";
-}
-
-arch::NetworkProcessorParams np_from_json(const util::JsonValue& value,
-                                          const std::string& path) {
-    arch::NetworkProcessorParams np;
-    ObjectReader reader(value, path);
-    if (const auto* pe = reader.find("pe_per_cluster")) {
-        np.pe_per_cluster = static_cast<std::size_t>(
-            read_integer(*pe, path + ".pe_per_cluster", 2));
+void check(const Reader& reader, const ScenarioSpec& spec) {
+    // Backstop: the structural checks shared with compiled specs. The rows
+    // already cover them with precise paths; anything that still slips
+    // through is reported at the spec's root.
+    try {
+        spec.validate();
+    } catch (const util::ContractViolation& violation) {
+        fail(reader.path(), violation.what());
     }
-    if (const auto* scale = reader.find("bus_rate_scale")) {
-        np.bus_rate_scale = read_number(*scale, path + ".bus_rate_scale");
-        if (!(np.bus_rate_scale > 0.0))
-            fail(path + ".bus_rate_scale", "must be > 0");
-    }
-    if (const auto* scale = reader.find("load_scale")) {
-        np.load_scale = read_number(*scale, path + ".load_scale");
-        if (!(np.load_scale > 0.0)) fail(path + ".load_scale", "must be > 0");
-    }
-    if (const auto* cluster = reader.find("cluster_pe")) {
-        const std::string cluster_path = path + ".cluster_pe";
-        element(*cluster, cluster_path);
-        for (std::size_t i = 0; i < cluster->size(); ++i)
-            np.cluster_pe.push_back(static_cast<std::size_t>(read_integer(
-                cluster->at(i), at_index(cluster_path, i), 2)));
-        if (!np.cluster_pe.empty() && np.cluster_pe.size() != 4)
-            fail(cluster_path,
-                 "must be empty or name all four clusters (ingress, "
-                 "classify, crypto, egress)");
-    }
-    if (const auto* crypto = reader.find("crypto_cluster"))
-        np.crypto_cluster = read_bool(*crypto, path + ".crypto_cluster");
-    reader.finish();
-    return np;
 }
 
-ScenarioVariant variant_from_json(const util::JsonValue& value,
-                                  const std::string& path) {
-    ScenarioVariant variant;
-    ObjectReader reader(value, path);
-    if (const auto* label = reader.find("label"))
-        variant.label = read_string(*label, path + ".label");
-    if (const auto* np = reader.find("np"))
-        variant.np = np_from_json(*np, path + ".np");
-    reader.finish();
-    return variant;
-}
-
-sim::SimConfig sim_from_json(const util::JsonValue& value,
-                             const std::string& path) {
-    sim::SimConfig sim;
-    ObjectReader reader(value, path);
-    if (const auto* horizon = reader.find("horizon")) {
-        sim.horizon = read_number(*horizon, path + ".horizon");
-        if (!(sim.horizon > 0.0)) fail(path + ".horizon", "must be > 0");
-    }
-    const bool explicit_warmup = reader.find("warmup") != nullptr;
-    if (explicit_warmup) {
-        sim.warmup = read_number(value.at("warmup"), path + ".warmup");
-        if (!(sim.warmup >= 0.0)) fail(path + ".warmup", "must be >= 0");
-    }
-    if (const auto* seed = reader.find("seed"))
-        sim.seed = static_cast<std::uint64_t>(
-            read_integer(*seed, path + ".seed", 0));
-    if (const auto* arbiter = reader.find("arbiter")) {
-        const std::string name = read_string(*arbiter, path + ".arbiter");
-        if (!arbiter_from_string(name, sim.arbiter))
-            fail(path + ".arbiter",
-                 "unknown arbiter '" + name +
-                     "' (expected fixed-priority, round-robin, "
-                     "longest-queue or weighted-random)");
-    }
-    if (sim.warmup >= sim.horizon) {
-        // Blame the key the document actually wrote: with no explicit
-        // warmup the conflict comes from the horizon undercutting the
-        // *default* warmup, which would otherwise be invisible.
-        if (explicit_warmup)
-            fail(path + ".warmup", "must be below the simulation horizon");
-        fail(path + ".horizon",
-             "must exceed the default warmup (" +
-                 util::format_compact(sim.warmup) + "); set " + path +
-                 ".warmup explicitly");
-    }
-    reader.finish();
-    return sim;
-}
-
-InsertionSpec insertion_from_json(const util::JsonValue& value,
-                                  const std::string& path) {
-    InsertionSpec insertion;
-    ObjectReader reader(value, path);
-    if (const auto* search = reader.find("search"))
-        insertion.search = read_bool(*search, path + ".search");
-    if (const auto* candidates = reader.find("candidates")) {
-        const std::string candidates_path = path + ".candidates";
-        element(*candidates, candidates_path);
-        for (std::size_t i = 0; i < candidates->size(); ++i) {
-            const std::string name = read_string(
-                candidates->at(i), at_index(candidates_path, i));
-            if (name.empty())
-                fail(at_index(candidates_path, i), "must not be empty");
-            insertion.candidates.push_back(name);
+template <class T>
+void read_value(const util::JsonValue& value, const Path& at, T& out,
+                const Rule& rule) {
+    using Kind = util::JsonValue::Kind;
+    if constexpr (std::is_same_v<T, bool>) {
+        out = expect(value, Kind::kBool, at).as_bool();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        out = expect(value, Kind::kString, at).as_string();
+        if (rule.has(kNonEmpty) && out.empty()) fail(at, "must not be empty");
+    } else if constexpr (std::is_enum_v<T>) {
+        const std::string& text = expect(value, Kind::kString, at).as_string();
+        if (!value_of(text, out))
+            fail(at, std::string("unknown ") + at.key + " '" + text +
+                         "' (expected " + expected_names<T>() + ")");
+    } else if constexpr (std::is_arithmetic_v<T>) {
+        const double number = expect(value, Kind::kNumber, at).as_number();
+        double min = rule.min;
+        double max = rule.max;
+        if constexpr (std::is_integral_v<T>) {
+            using Limits = std::numeric_limits<T>;
+            if (std::floor(number) != number ||
+                std::abs(number) > static_cast<double>(kMaxExactWhole))
+                fail(at, "expected a whole number");
+            min = std::max(min, static_cast<double>(Limits::min()));
+            max = std::min(max, static_cast<double>(Limits::max()));
         }
+        if (rule.has(kPositive) && !(number > 0.0)) fail(at, "must be > 0");
+        if (number < min) fail(at, "must be >= " + util::format_compact(min));
+        if (number > max) fail(at, "must be <= " + util::format_compact(max));
+        out = static_cast<T>(number);
+    } else if constexpr (IsList<T>::value) {
+        expect(value, Kind::kArray, at);
+        if (rule.has(kNonEmpty) && value.size() == 0) {
+            // List keys are plural nouns: "budgets" -> "one budget".
+            const std::string noun(at.key, std::strlen(at.key) - 1);
+            fail(at, "must name at least one " + noun);
+        }
+        Rule item = rule;
+        item.flags &= ~kNonEmpty;
+        if (rule.has(kNonEmptyItems)) item.flags |= kNonEmpty;
+        out.clear();
+        out.resize(value.size());
+        for (std::size_t i = 0; i < value.size(); ++i)
+            read_value(value.at(i), Path{&at, nullptr, i}, out[i], item);
+    } else {
+        Reader reader(value, at);
+        fields(reader, out);
+        reader.finish();
+        check(reader, out);
     }
-    if (const auto* cost = reader.find("processor_site_cost")) {
-        insertion.processor_site_cost =
-            read_number(*cost, path + ".processor_site_cost");
-        if (!(insertion.processor_site_cost > 0.0))
-            fail(path + ".processor_site_cost", "must be > 0");
-    }
-    if (const auto* cost = reader.find("bridge_site_cost")) {
-        insertion.bridge_site_cost =
-            read_number(*cost, path + ".bridge_site_cost");
-        if (!(insertion.bridge_site_cost > 0.0))
-            fail(path + ".bridge_site_cost", "must be > 0");
-    }
-    if (const auto* limit = reader.find("exhaustive_limit"))
-        insertion.exhaustive_limit = static_cast<std::size_t>(
-            read_integer(*limit, path + ".exhaustive_limit", 0));
-    reader.finish();
-    return insertion;
 }
 
-BatchPreset batch_from_json(const util::JsonValue& value,
-                            const std::string& path) {
-    BatchPreset batch;
-    ObjectReader reader(value, path);
-    batch.name = read_string(reader.require("name"), path + ".name");
-    if (batch.name.empty()) fail(path + ".name", "must not be empty");
-    if (const auto* description = reader.find("description"))
-        batch.description = read_string(*description, path + ".description");
-    const util::JsonValue& members = reader.require("scenarios");
-    const std::string members_path = path + ".scenarios";
-    element(members, members_path);
-    if (members.size() == 0)
-        fail(members_path, "must name at least one scenario");
-    for (std::size_t i = 0; i < members.size(); ++i) {
-        const std::string member =
-            read_string(members.at(i), at_index(members_path, i));
-        if (member.empty())
-            fail(at_index(members_path, i), "must not be empty");
-        batch.scenarios.push_back(member);
-    }
-    reader.finish();
-    return batch;
-}
+// ------------------------------------------------------------ writing
 
-util::JsonValue np_to_json(const arch::NetworkProcessorParams& np) {
+template <class T>
+util::JsonValue write_value(const T& value, const Path& at);
+
+/// Builds one JSON object from an object's rows, in row order.
+class Writer {
+public:
+    static constexpr bool kWrites = true;
+    const int version = kScenarioSchemaVersion;
     util::JsonValue node = util::JsonValue::object();
-    node.set("pe_per_cluster", np.pe_per_cluster);
-    node.set("bus_rate_scale", np.bus_rate_scale);
-    node.set("load_scale", np.load_scale);
-    util::JsonValue cluster = util::JsonValue::array();
-    for (const std::size_t pe : np.cluster_pe) cluster.push_back(pe);
-    node.set("cluster_pe", std::move(cluster));
-    node.set("crypto_cluster", np.crypto_cluster);
-    return node;
-}
 
-util::JsonValue insertion_to_json(const InsertionSpec& insertion) {
-    util::JsonValue node = util::JsonValue::object();
-    node.set("search", insertion.search);
-    util::JsonValue candidates = util::JsonValue::array();
-    for (const auto& name : insertion.candidates) candidates.push_back(name);
-    node.set("candidates", std::move(candidates));
-    node.set("processor_site_cost", insertion.processor_site_cost);
-    node.set("bridge_site_cost", insertion.bridge_site_cost);
-    node.set("exhaustive_limit", insertion.exhaustive_limit);
-    return node;
-}
+    explicit Writer(const Path& path) : path_(path) {}
 
-util::JsonValue batch_to_json(const BatchPreset& batch) {
-    util::JsonValue node = util::JsonValue::object();
-    node.set("name", batch.name);
-    node.set("description", batch.description);
-    util::JsonValue members = util::JsonValue::array();
-    for (const auto& member : batch.scenarios) members.push_back(member);
-    node.set("scenarios", std::move(members));
-    return node;
-}
+    template <class T>
+    void operator()(const char* key, const T& member, const Rule& = {}) {
+        node.set(key, write_value(member, Path{&path_, key}));
+    }
 
-util::JsonValue sim_to_json(const sim::SimConfig& sim,
-                            const std::string& path) {
+private:
+    const Path& path_;
+};
+
+/// Refuses an object that could not round-trip (no-op for the objects
+/// that always can).
+template <class T>
+void refuse(const T&, const Path&) {}
+
+void refuse(const sim::SimConfig& sim, const Path& at) {
     // A spec-level sim config is a plain evaluation setup; the engine-owned
     // fields (arbitration weights, timeout state) are run artifacts, never
-    // scenario inputs — a spec carrying them cannot round-trip, so refuse
-    // to serialize it rather than drop them silently.
+    // scenario inputs — refuse them rather than drop them silently.
     if (sim.timeout_enabled || sim.timeout_threshold != 0.0 ||
         !sim.site_weights.empty() || !sim.site_timeout_thresholds.empty())
-        fail(path,
+        fail(at,
              "engine-owned sim fields (timeouts, site weights) are not part "
              "of the scenario schema; use evaluate_timeout_policy");
-    // JSON numbers are doubles: a seed past 2^53 would be emitted rounded
-    // and rejected on the way back in — refuse it here, symmetrically with
-    // read_integer's exactness bound, so every exported spec is loadable.
-    if (sim.seed > (std::uint64_t{1} << 53))
-        fail(path + ".seed",
-             "must be <= 2^53 to round-trip exactly through JSON");
-    util::JsonValue node = util::JsonValue::object();
-    node.set("horizon", sim.horizon);
-    node.set("warmup", sim.warmup);
-    node.set("seed", sim.seed);
-    node.set("arbiter", to_string(sim.arbiter));
-    return node;
 }
+
+template <class T>
+util::JsonValue write_value(const T& value, const Path& at) {
+    if constexpr (std::is_enum_v<T>) {
+        return name_of(value);
+    } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+        // Past 2^53 the number would be emitted rounded and refused on the
+        // way back in: refuse it here, so every exported spec is loadable.
+        bool exact = false;
+        if constexpr (std::is_signed_v<T>)
+            exact = value <= kMaxExactWhole && value >= -kMaxExactWhole;
+        else
+            exact = value <= static_cast<std::uint64_t>(kMaxExactWhole);
+        if (!exact)
+            fail(at, "must be <= 2^53 to round-trip exactly through JSON");
+        return static_cast<double>(value);
+    } else if constexpr (IsList<T>::value) {
+        util::JsonValue list = util::JsonValue::array();
+        for (std::size_t i = 0; i < value.size(); ++i)
+            list.push_back(write_value(value[i], Path{&at, nullptr, i}));
+        return list;
+    } else if constexpr (std::is_class_v<T> &&
+                         !std::is_same_v<T, std::string>) {
+        refuse(value, at);
+        Writer writer(at);
+        fields(writer, value);
+        return std::move(writer.node);
+    } else {
+        return value;
+    }
+}
+
+/// Walks a field list only to ask whether an object holds any of its keys.
+struct KeyProbe {
+    static constexpr bool kWrites = false;
+    const util::JsonValue& object;
+    bool found = false;
+
+    template <class T>
+    void operator()(const char* key, T&, const Rule& = {}) {
+        found = found || object.contains(key);
+    }
+};
+
+bool is_catalog(const util::JsonValue& document) {
+    if (!document.is_object()) return false;
+    ScenarioDocument shape;
+    KeyProbe probe{document};
+    fields(probe, shape);
+    return probe.found;
+}
+
+const Path kRoot{nullptr, "$"};
 
 }  // namespace
 
-const char* to_string(core::SolverChoice solver) {
-    switch (solver) {
-        case core::SolverChoice::kAuto: return "auto";
-        case core::SolverChoice::kLp: return "lp";
-        case core::SolverChoice::kValueIteration: return "value-iteration";
-        case core::SolverChoice::kPolicyIteration: return "policy-iteration";
-    }
-    return "?";
+const char* to_string(Testbench testbench) { return name_of(testbench); }
+bool testbench_from_string(const std::string& text, Testbench& out) {
+    return value_of(text, out);
 }
 
+const char* to_string(core::SolverChoice solver) { return name_of(solver); }
 bool solver_from_string(const std::string& text, core::SolverChoice& out) {
-    if (text == "auto") out = core::SolverChoice::kAuto;
-    else if (text == "lp") out = core::SolverChoice::kLp;
-    else if (text == "value-iteration") out = core::SolverChoice::kValueIteration;
-    else if (text == "policy-iteration") out = core::SolverChoice::kPolicyIteration;
-    else return false;
-    return true;
+    return value_of(text, out);
 }
 
-const char* to_string(sim::ArbiterKind arbiter) {
-    switch (arbiter) {
-        case sim::ArbiterKind::kFixedPriority: return "fixed-priority";
-        case sim::ArbiterKind::kRoundRobin: return "round-robin";
-        case sim::ArbiterKind::kLongestQueue: return "longest-queue";
-        case sim::ArbiterKind::kWeightedRandom: return "weighted-random";
-    }
-    return "?";
-}
-
+const char* to_string(sim::ArbiterKind arbiter) { return name_of(arbiter); }
 bool arbiter_from_string(const std::string& text, sim::ArbiterKind& out) {
-    if (text == "fixed-priority") out = sim::ArbiterKind::kFixedPriority;
-    else if (text == "round-robin") out = sim::ArbiterKind::kRoundRobin;
-    else if (text == "longest-queue") out = sim::ArbiterKind::kLongestQueue;
-    else if (text == "weighted-random") out = sim::ArbiterKind::kWeightedRandom;
-    else return false;
-    return true;
+    return value_of(text, out);
 }
 
 util::JsonValue to_json(const ScenarioSpec& spec) {
-    util::JsonValue root = util::JsonValue::object();
-    root.set("version", kScenarioSchemaVersion);
-    root.set("name", spec.name);
-    root.set("description", spec.description);
-    root.set("testbench", scenario::to_string(spec.testbench));
-
-    util::JsonValue variants = util::JsonValue::array();
-    for (const auto& variant : spec.variants) {
-        util::JsonValue node = util::JsonValue::object();
-        node.set("label", variant.label);
-        node.set("np", np_to_json(variant.np));
-        variants.push_back(std::move(node));
-    }
-    root.set("variants", std::move(variants));
-
-    util::JsonValue budgets = util::JsonValue::array();
-    for (const long budget : spec.budgets) budgets.push_back(budget);
-    root.set("budgets", std::move(budgets));
-
-    root.set("replications", spec.replications);
-    root.set("sizing_iterations", spec.sizing_iterations);
-    root.set("sizing_eval_replications", spec.sizing_eval_replications);
-    root.set("solver", to_string(spec.solver));
-    root.set("gauss_seidel", spec.gauss_seidel);
-    root.set("modulated_models", spec.use_modulated_models);
-    root.set("evaluate_timeout_policy", spec.evaluate_timeout_policy);
-    root.set("timeout_threshold_scale", spec.timeout_threshold_scale);
-    root.set("calibration_replications", spec.calibration_replications);
-    root.set("insertion", insertion_to_json(spec.insertion));
-    root.set("sim", sim_to_json(spec.sim, "$.sim"));
-    return root;
+    return write_value(spec, kRoot);
 }
 
 ScenarioSpec spec_from_json(const util::JsonValue& value,
                             const std::string& path) {
     ScenarioSpec spec;
-    ObjectReader reader(value, path);
-
-    // Absent means version 1 (every file written before the field
-    // existed); 1 and 2 are both understood; anything else is a document
-    // this reader does not speak, rejected up front so a future-version
-    // file fails on the version line, not on whichever new key happens
-    // to come first.
-    long long schema_version = kLegacyScenarioSchemaVersion;
-    if (const auto* version = reader.find("version")) {
-        schema_version = read_integer(*version, path + ".version", 0);
-        if (schema_version != kLegacyScenarioSchemaVersion &&
-            schema_version != kScenarioSchemaVersion)
-            fail(path + ".version",
-                 "unsupported schema version " +
-                     std::to_string(schema_version) + " (this reader "
-                     "understands versions " +
-                     std::to_string(kLegacyScenarioSchemaVersion) + " and " +
-                     std::to_string(kScenarioSchemaVersion) + ")");
-    }
-    spec.name = read_string(reader.require("name"), path + ".name");
-    if (spec.name.empty()) fail(path + ".name", "must not be empty");
-    if (const auto* description = reader.find("description"))
-        spec.description = read_string(*description, path + ".description");
-    if (const auto* testbench = reader.find("testbench")) {
-        const std::string name =
-            read_string(*testbench, path + ".testbench");
-        if (!testbench_from_string(name, spec.testbench))
-            fail(path + ".testbench",
-                 "unknown testbench '" + name +
-                     "' (expected figure1 or network-processor)");
-    }
-
-    if (const auto* variants = reader.find("variants")) {
-        const std::string variants_path = path + ".variants";
-        element(*variants, variants_path);
-        if (variants->size() == 0)
-            fail(variants_path, "must name at least one variant");
-        spec.variants.clear();
-        for (std::size_t i = 0; i < variants->size(); ++i)
-            spec.variants.push_back(variant_from_json(
-                variants->at(i), at_index(variants_path, i)));
-    }
-
-    if (const auto* budgets = reader.find("budgets")) {
-        const std::string budgets_path = path + ".budgets";
-        element(*budgets, budgets_path);
-        if (budgets->size() == 0)
-            fail(budgets_path, "must name at least one budget");
-        spec.budgets.clear();
-        for (std::size_t i = 0; i < budgets->size(); ++i)
-            spec.budgets.push_back(static_cast<long>(
-                read_integer(budgets->at(i), at_index(budgets_path, i), 1)));
-    }
-
-    if (const auto* replications = reader.find("replications"))
-        spec.replications = static_cast<std::size_t>(
-            read_integer(*replications, path + ".replications", 1));
-    if (const auto* iterations = reader.find("sizing_iterations"))
-        spec.sizing_iterations = static_cast<int>(
-            read_integer(*iterations, path + ".sizing_iterations", 1));
-    if (const auto* eval = reader.find("sizing_eval_replications"))
-        spec.sizing_eval_replications = static_cast<std::size_t>(read_integer(
-            *eval, path + ".sizing_eval_replications", 1));
-    if (const auto* solver = reader.find("solver")) {
-        const std::string name = read_string(*solver, path + ".solver");
-        if (!solver_from_string(name, spec.solver))
-            fail(path + ".solver",
-                 "unknown solver '" + name +
-                     "' (expected auto, lp, value-iteration or "
-                     "policy-iteration)");
-    }
-    if (const auto* gs = reader.find("gauss_seidel"))
-        spec.gauss_seidel = read_bool(*gs, path + ".gauss_seidel");
-    if (const auto* modulated = reader.find("modulated_models"))
-        spec.use_modulated_models =
-            read_bool(*modulated, path + ".modulated_models");
-    if (const auto* timeout = reader.find("evaluate_timeout_policy"))
-        spec.evaluate_timeout_policy =
-            read_bool(*timeout, path + ".evaluate_timeout_policy");
-    if (const auto* scale = reader.find("timeout_threshold_scale")) {
-        spec.timeout_threshold_scale =
-            read_number(*scale, path + ".timeout_threshold_scale");
-        if (!(spec.timeout_threshold_scale > 0.0))
-            fail(path + ".timeout_threshold_scale", "must be > 0");
-    }
-    if (const auto* calibration = reader.find("calibration_replications"))
-        spec.calibration_replications = static_cast<std::size_t>(read_integer(
-            *calibration, path + ".calibration_replications", 1));
-    // The v2-defining block: required at version 2 (a v2 file must say
-    // whether it searches, even if only "search": false), and unknown —
-    // rejected by finish() below at $.insertion — in a legacy document,
-    // where the reader never claims the key.
-    if (schema_version >= kScenarioSchemaVersion) {
-        const auto* insertion = reader.find("insertion");
-        if (insertion == nullptr)
-            fail(path + ".insertion",
-                 "required at schema version 2 (declare at least "
-                 "{\"search\": false})");
-        spec.insertion = insertion_from_json(*insertion, path + ".insertion");
-    }
-    if (const auto* sim = reader.find("sim"))
-        spec.sim = sim_from_json(*sim, path + ".sim");
-    reader.finish();
-
-    // Backstop: the structural checks shared with compiled specs. Field
-    // reads above already cover them with precise paths; anything that
-    // still slips through is reported at the spec's root.
-    try {
-        spec.validate();
-    } catch (const util::ContractViolation& violation) {
-        fail(path, violation.what());
-    }
+    read_value(value, Path{nullptr, path.c_str()}, spec, Rule{});
     return spec;
 }
 
 ScenarioDocument document_from_json(const util::JsonValue& document) {
     ScenarioDocument out;
-    const bool catalog =
-        document.is_object() &&
-        (document.contains("scenarios") || document.contains("batches"));
-    if (!catalog) {
-        out.scenarios.push_back(spec_from_json(document, "$"));
-        return out;
-    }
-    ObjectReader reader(document, "$");
-    const util::JsonValue& list = reader.require("scenarios");
-    const util::JsonValue* batches = reader.find("batches");
-    reader.finish();
-    element(list, "$.scenarios");
-    if (list.size() == 0)
-        fail("$.scenarios", "must name at least one scenario");
-    out.scenarios.reserve(list.size());
-    for (std::size_t i = 0; i < list.size(); ++i)
-        out.scenarios.push_back(
-            spec_from_json(list.at(i), at_index("$.scenarios", i)));
-    if (batches != nullptr) {
-        element(*batches, "$.batches");
-        for (std::size_t i = 0; i < batches->size(); ++i)
-            out.batches.push_back(
-                batch_from_json(batches->at(i), at_index("$.batches", i)));
-    }
+    if (is_catalog(document))
+        read_value(document, kRoot, out, Rule{});
+    else
+        read_value(document, kRoot, out.scenarios.emplace_back(), Rule{});
     return out;
 }
 
@@ -541,17 +535,7 @@ std::vector<ScenarioSpec> specs_from_json(const util::JsonValue& document) {
 
 util::JsonValue catalog_to_json(const std::vector<ScenarioSpec>& specs,
                                 const std::vector<BatchPreset>& batches) {
-    util::JsonValue list = util::JsonValue::array();
-    for (const auto& spec : specs) list.push_back(to_json(spec));
-    util::JsonValue root = util::JsonValue::object();
-    root.set("scenarios", std::move(list));
-    if (!batches.empty()) {
-        util::JsonValue batch_list = util::JsonValue::array();
-        for (const auto& batch : batches)
-            batch_list.push_back(batch_to_json(batch));
-        root.set("batches", std::move(batch_list));
-    }
-    return root;
+    return write_value(ScenarioDocument{specs, batches}, kRoot);
 }
 
 util::JsonValue export_json(const ScenarioRegistry& registry,
@@ -567,15 +551,15 @@ util::JsonValue export_json(const ScenarioRegistry& registry,
 
 ScenarioDocument load_scenario_document(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
-    if (!in) fail(path, "cannot read scenario file");
+    if (!in) throw ScenarioIoError(path, "cannot read scenario file");
     std::ostringstream text;
     text << in.rdbuf();
-    if (in.bad()) fail(path, "cannot read scenario file");
+    if (in.bad()) throw ScenarioIoError(path, "cannot read scenario file");
     util::JsonValue document;
     try {
         document = util::JsonValue::parse(text.str());
     } catch (const util::JsonError& error) {
-        fail(path, error.what());
+        throw ScenarioIoError(path, error.what());
     }
     return document_from_json(document);
 }

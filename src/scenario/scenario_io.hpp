@@ -13,43 +13,11 @@
 // built-in presets do (util::JsonValue emits shortest round-trip doubles),
 // pinned by tests/scenario_io_test.cpp.
 //
-// The schema (documented field by field in scenarios/README.md):
-//
-//   {
-//     "version": 2,                       optional; absent = 1 (legacy);
-//                                         1 or 2 accepted, anything else
-//                                         is rejected at $.version
-//     "name": "np-load-sweep",            required, non-empty
-//     "description": "...",               optional string
-//     "testbench": "network-processor",   "figure1" | "network-processor"
-//     "variants": [                       optional, >= 1 entry
-//       {"label": "load=0.80",
-//        "np": {"pe_per_cluster": 4, "bus_rate_scale": 1.0,
-//               "load_scale": 0.8, "cluster_pe": [6,4,2,4],
-//               "crypto_cluster": true}}
-//     ],
-//     "budgets": [320],                   >= 1 entry, each >= 1
-//     "replications": 5,                  >= 1
-//     "sizing_iterations": 10,            >= 1
-//     "sizing_eval_replications": 1,      >= 1
-//     "solver": "auto",                   auto|lp|value-iteration|
-//                                         policy-iteration
-//     "modulated_models": false,
-//     "evaluate_timeout_policy": false,
-//     "timeout_threshold_scale": 4.0,     > 0
-//     "insertion": {                      REQUIRED at version 2, rejected
-//                                         below it ($.insertion names the
-//                                         miss either way)
-//       "search": false,                  placement search on/off
-//       "candidates": ["bridge:..."],     site names; empty = every
-//                                         traffic-carrying bridge site
-//       "processor_site_cost": 1.0,       > 0
-//       "bridge_site_cost": 1.0,          > 0
-//       "exhaustive_limit": 4},           candidate counts <= this take
-//                                         the exhaustive 2^n sweep
-//     "sim": {"horizon": 4000.0, "warmup": 400.0, "seed": 2005,
-//             "arbiter": "round-robin"}
-//   }
+// The schema — every key, its type, default and range — is documented
+// field by field in scenarios/README.md; scenario_io_test checks that the
+// README's key table matches what to_json emits. In scenario_io.cpp each
+// schema object is one field list (one row per key) that both the reader
+// and the writer walk.
 //
 // A *document* is either one spec object or a catalog
 // {"scenarios": [spec, ...]} — registry.load_file and the CLI accept both.
@@ -122,8 +90,8 @@ struct ScenarioDocument {
 [[nodiscard]] ScenarioDocument document_from_json(
     const util::JsonValue& document);
 
-/// A catalog document {"scenarios": [...]} from `specs`, plus a
-/// "batches" array when `batches` is non-empty.
+/// A catalog document {"scenarios": [...], "batches": [...]}; like
+/// to_json it writes every key, so "batches" is present even when empty.
 [[nodiscard]] util::JsonValue catalog_to_json(
     const std::vector<ScenarioSpec>& specs,
     const std::vector<BatchPreset>& batches = {});

@@ -274,6 +274,8 @@ private:
         for (;;) {
             skip_whitespace();
             std::string key = string();
+            // A repeated name would silently replace the earlier value.
+            if (out.contains(key)) fail("duplicate key \"" + key + "\"");
             skip_whitespace();
             expect(':');
             out.set(key, value());

@@ -7,8 +7,9 @@
 //   * numbers are doubles emitted with shortest round-trip precision via
 //     std::to_chars/from_chars — locale-independent, so dump -> parse ->
 //     dump is a fixed point under any LC_NUMERIC,
-//   * the parser rejects trailing garbage, unterminated strings/containers
-//     and malformed numbers with a JsonError naming the byte offset.
+//   * the parser rejects trailing garbage, unterminated strings/containers,
+//     malformed numbers and duplicate object keys with a JsonError naming
+//     the byte offset.
 #pragma once
 
 #include <cstddef>

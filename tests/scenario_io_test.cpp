@@ -1,7 +1,6 @@
 // The scenario JSON schema: round-trip fidelity for every built-in
-// preset, strict validation with path-naming diagnostics, and the
-// builder that replaces aggregate-initialization sprawl.
-#include "scenario/builder.hpp"
+// preset, strict validation with path-naming diagnostics, agreement with
+// the documented key table, and robustness against mutated catalog files.
 #include "scenario/scenario.hpp"
 #include "scenario/scenario_io.hpp"
 #include "util/contracts.hpp"
@@ -9,9 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace ss = socbuf::scenario;
 using socbuf::util::JsonValue;
@@ -36,6 +42,119 @@ void expect_io_error(const std::string& text, const std::string& path) {
     }
 }
 
+/// Every non-object value of `node` by dotted path ("variants[0].np.
+/// load_scale"); arrays of objects are descended, other arrays are leaves.
+void collect_leaves(const JsonValue& node, const std::string& path,
+                    std::map<std::string, JsonValue>& out) {
+    if (node.is_object()) {
+        for (const auto& [key, value] : node.members())
+            collect_leaves(value, path.empty() ? key : path + "." + key, out);
+    } else if (node.is_array() && node.size() > 0 && node.at(0).is_object()) {
+        for (std::size_t i = 0; i < node.size(); ++i)
+            collect_leaves(node.at(i), path + "[" + std::to_string(i) + "]",
+                           out);
+    } else {
+        out[path] = node;
+    }
+}
+
+/// Dotted key of every member, arrays of objects as "[i]"
+/// ("variants[i].np.load_scale") — the notation of the README table.
+void collect_keys(const JsonValue& node, const std::string& path,
+                  std::set<std::string>& out) {
+    if (node.is_object()) {
+        for (const auto& [key, value] : node.members()) {
+            const std::string dotted = path.empty() ? key : path + "." + key;
+            out.insert(dotted);
+            collect_keys(value, dotted, out);
+        }
+    } else if (node.is_array()) {
+        for (std::size_t i = 0; i < node.size(); ++i)
+            collect_keys(node.at(i), path + "[i]", out);
+    }
+}
+
+std::string read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/// The shipped catalog, in name order.
+std::vector<std::string> scenario_files() {
+    std::vector<std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(SOCBUF_REPO_ROOT) + "/scenarios"))
+        if (entry.path().extension() == ".json")
+            files.push_back(entry.path().string());
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
+/// One step of a member path: an object key, or an array index when the
+/// key is empty.
+struct Step {
+    std::string key;
+    std::size_t index = 0;
+};
+using MemberPath = std::vector<Step>;
+
+/// Every member of `node` with its path, parents before children.
+void collect_members(
+    const JsonValue& node, MemberPath& prefix,
+    std::vector<std::pair<MemberPath, const JsonValue*>>& out) {
+    const auto visit = [&](Step step, const JsonValue& child) {
+        prefix.push_back(std::move(step));
+        out.emplace_back(prefix, &child);
+        collect_members(child, prefix, out);
+        prefix.pop_back();
+    };
+    if (node.is_object())
+        for (const auto& [key, value] : node.members()) visit({key}, value);
+    else if (node.is_array())
+        for (std::size_t i = 0; i < node.size(); ++i)
+            visit({"", i}, node.at(i));
+}
+
+std::string describe(const MemberPath& path) {
+    std::string out = "$";
+    for (const auto& step : path)
+        out += step.key.empty() ? "[" + std::to_string(step.index) + "]"
+                                : "." + step.key;
+    return out;
+}
+
+/// A copy of `node` with the member at path[depth..] replaced by
+/// `*replacement`, or deleted when `replacement` is null.
+JsonValue edited(const JsonValue& node, const MemberPath& path,
+                 std::size_t depth, const JsonValue* replacement) {
+    const Step& step = path[depth];
+    const bool last = depth + 1 == path.size();
+    if (node.is_object()) {
+        JsonValue out = JsonValue::object();
+        for (const auto& [key, value] : node.members()) {
+            if (key != step.key)
+                out.set(key, value);
+            else if (!last)
+                out.set(key, edited(value, path, depth + 1, replacement));
+            else if (replacement != nullptr)
+                out.set(key, *replacement);
+        }
+        return out;
+    }
+    JsonValue out = JsonValue::array();
+    for (std::size_t i = 0; i < node.size(); ++i) {
+        if (i != step.index)
+            out.push_back(node.at(i));
+        else if (!last)
+            out.push_back(edited(node.at(i), path, depth + 1, replacement));
+        else if (replacement != nullptr)
+            out.push_back(*replacement);
+    }
+    return out;
+}
+
 }  // namespace
 
 TEST(ScenarioIo, EveryPresetRoundTripsBitIdentically) {
@@ -54,28 +173,42 @@ TEST(ScenarioIo, EveryPresetRoundTripsBitIdentically) {
 }
 
 TEST(ScenarioIo, RoundTripCoversEveryKnob) {
-    // A spec with every field off its default — catches a to_json that
-    // forgets a field (the round trip would silently reseat the default).
-    ss::ScenarioSpec spec =
-        ss::ScenarioBuilder("everything")
-            .description("all knobs off-default")
-            .testbench(ss::Testbench::kNetworkProcessor)
-            .variant("a", {3, 1.5, 0.75, {}, true})
-            .variant("b", {4, 1.0, 1.0, {2, 3, 4, 5}, false})
-            .budgets({17, 40})
-            .replications(3)
-            .sizing_iterations(5)
-            .sizing_eval_replications(2)
-            .solver(socbuf::core::SolverChoice::kValueIteration)
-            .gauss_seidel()
-            .modulated_models()
-            .timeout_policy(2.5)
-            .calibration_replications(4)
-            .insertion({true, {"bf:b>f", "bg:b>g"}, 2.0, 3.0, 6})
-            .horizon(900.0, 90.0)
-            .seed(123456789)
-            .arbiter(socbuf::sim::ArbiterKind::kLongestQueue)
-            .build();
+    // A spec with every leaf off its default — catches a writer that
+    // forgets a field or a reader that drops one (the round trip would
+    // silently reseat the default).
+    ss::ScenarioSpec spec;
+    spec.name = "everything";
+    spec.description = "all knobs off-default";
+    spec.testbench = ss::Testbench::kFigure1;
+    spec.variants = {{"a", {3, 1.5, 0.75, {6, 4, 2, 4}, false}},
+                     {"b", {5, 1.25, 0.5, {2, 3, 4, 5}, false}}};
+    spec.budgets = {17, 40};
+    spec.replications = 3;
+    spec.sizing_iterations = 5;
+    spec.sizing_eval_replications = 2;
+    spec.solver = socbuf::core::SolverChoice::kValueIteration;
+    spec.gauss_seidel = true;
+    spec.use_modulated_models = true;
+    spec.evaluate_timeout_policy = true;
+    spec.timeout_threshold_scale = 2.5;
+    spec.calibration_replications = 4;
+    spec.insertion = {true, {"bf:b>f", "bg:b>g"}, 2.0, 3.0, 6};
+    spec.sim.horizon = 900.0;
+    spec.sim.warmup = 90.0;
+    spec.sim.seed = 123456789;
+    spec.sim.arbiter = socbuf::sim::ArbiterKind::kLongestQueue;
+    spec.validate();
+
+    std::map<std::string, JsonValue> defaults;
+    collect_leaves(ss::to_json(ss::ScenarioSpec{}), "", defaults);
+    std::map<std::string, JsonValue> leaves;
+    collect_leaves(ss::to_json(spec), "", leaves);
+    leaves.erase("version");  // the document's, not the spec's
+    for (const auto& [path, value] : leaves) {
+        const auto it = defaults.find(path);
+        EXPECT_TRUE(it == defaults.end() || it->second != value)
+            << path << " keeps its default " << value.dump();
+    }
     EXPECT_TRUE(round_trip(spec) == spec);
 }
 
@@ -219,6 +352,12 @@ TEST(ScenarioIo, DiagnosticsNameTheJsonPath) {
                     "$.sim.arbiter");
     expect_io_error("{\"name\": \"x\", \"sim\": {\"seed\": 1.5}}",
                     "$.sim.seed");
+    // Whole numbers are bounded by their member's type (an int here): a
+    // value past it is refused, never wrapped.
+    expect_io_error("{\"name\": \"x\", \"sizing_iterations\": 4294967297}",
+                    "$.sizing_iterations");
+    expect_io_error("{\"name\": \"x\", \"sizing_iterations\": 2147483648}",
+                    "$.sizing_iterations");
 }
 
 TEST(ScenarioIo, CatalogDocumentsParseAndReportPerScenarioPaths) {
@@ -373,37 +512,6 @@ TEST(ScenarioIo, RegistryLoadsTextFilesAndMerges) {
                  ss::ScenarioIoError);
 }
 
-TEST(ScenarioBuilder, BuildsValidatedSpecs) {
-    const ss::ScenarioSpec spec = ss::ScenarioBuilder("built")
-                                      .description("builder walk")
-                                      .testbench(ss::Testbench::kFigure1)
-                                      .budgets({12, 18})
-                                      .replications(2)
-                                      .sizing_iterations(3)
-                                      .horizon(600.0, 60.0)
-                                      .seed(7)
-                                      .build();
-    EXPECT_EQ(spec.name, "built");
-    EXPECT_EQ(spec.budgets.size(), 2u);
-    EXPECT_EQ(spec.sim.warmup, 60.0);
-    EXPECT_EQ(spec.sim.seed, 7u);
-    // Default warmup is 10% of the horizon.
-    EXPECT_EQ(ss::ScenarioBuilder("w").horizon(500.0).build().sim.warmup,
-              50.0);
-    // The first variant() replaces the default entry; later ones append.
-    const auto sweep = ss::ScenarioBuilder("sweep")
-                           .variant("a")
-                           .variant("b")
-                           .build();
-    ASSERT_EQ(sweep.variants.size(), 2u);
-    EXPECT_EQ(sweep.variants[0].label, "a");
-    // build() validates: a malformed chain throws, naming the contract.
-    EXPECT_THROW((void)ss::ScenarioBuilder("bad").budgets({}).build(),
-                 socbuf::util::ContractViolation);
-    EXPECT_THROW((void)ss::ScenarioBuilder("bad").replications(0).build(),
-                 socbuf::util::ContractViolation);
-}
-
 TEST(ScenarioIo, NamesRoundTripThroughEnumHelpers) {
     using socbuf::core::SolverChoice;
     for (const auto solver :
@@ -428,4 +536,87 @@ TEST(ScenarioIo, NamesRoundTripThroughEnumHelpers) {
     ss::Testbench testbench{};
     EXPECT_TRUE(ss::testbench_from_string("figure1", testbench));
     EXPECT_FALSE(ss::testbench_from_string("figure2", testbench));
+}
+
+TEST(ScenarioIo, ReadmeTableNamesExactlyTheEmittedKeys) {
+    // scenarios/README.md documents the schema one key per row; the rows
+    // must be exactly the keys to_json writes, so a field added, renamed
+    // or removed in the field lists cannot leave the table behind.
+    std::set<std::string> emitted;
+    collect_keys(ss::to_json(ss::ScenarioSpec{}), "", emitted);
+    std::set<std::string> documented;
+    std::istringstream readme(
+        read_file(std::string(SOCBUF_REPO_ROOT) + "/scenarios/README.md"));
+    for (std::string line; std::getline(readme, line);) {
+        if (line.rfind("| `", 0) != 0) continue;
+        const std::size_t end = line.find('`', 3);
+        ASSERT_NE(end, std::string::npos) << line;
+        documented.insert(line.substr(3, end - 3));
+    }
+    EXPECT_EQ(documented, emitted);
+}
+
+TEST(ScenarioIo, MutatedCatalogFilesAreRejectedOrLossless) {
+    // Deterministic mutations of every shipped scenario file: each member
+    // deleted, replaced by every other JSON kind, and (numbers) set to
+    // values at and past the edges of the member types. A reader either
+    // refuses the document with ScenarioIoError or accepts it losslessly —
+    // writing the result back reproduces the mutated document — so no
+    // value is silently wrapped, rounded or dropped.
+    const std::vector<JsonValue> kinds = {JsonValue(), JsonValue(true),
+                                          JsonValue(1.0), JsonValue("x"),
+                                          JsonValue::array(),
+                                          JsonValue::object()};
+    const std::vector<double> numbers = {-1.0,         0.0,
+                                         0.5,          2147483648.0,
+                                         4294967297.0, 9007199254740994.0,
+                                         1e308};
+    const auto files = scenario_files();
+    ASSERT_FALSE(files.empty());
+    for (const auto& file : files) {
+        const JsonValue original = JsonValue::parse(read_file(file));
+        const bool catalog = original.contains("scenarios");
+        const auto reload = [&](const JsonValue& document) {
+            if (!catalog) return ss::to_json(ss::spec_from_json(document));
+            const auto read = ss::document_from_json(document);
+            return ss::catalog_to_json(read.scenarios, read.batches);
+        };
+        std::size_t accepted = 0;
+        std::size_t rejected = 0;
+        const auto mutate = [&](const MemberPath& path,
+                                const JsonValue* replacement) {
+            const JsonValue mutated = edited(original, path, 0, replacement);
+            JsonValue written;
+            try {
+                written = reload(mutated);
+            } catch (const ss::ScenarioIoError&) {
+                ++rejected;
+                return;
+            }
+            ++accepted;
+            // A deleted key reads as its default, which the writer spells
+            // out; drop it again before comparing.
+            if (replacement == nullptr && !path.back().key.empty())
+                written = edited(written, path, 0, nullptr);
+            EXPECT_TRUE(written == mutated)
+                << file << " " << describe(path) << " <- "
+                << (replacement ? replacement->dump() : "deleted")
+                << " was accepted but written back as " << written.dump();
+        };
+        std::vector<std::pair<MemberPath, const JsonValue*>> members;
+        MemberPath prefix;
+        collect_members(original, prefix, members);
+        for (const auto& [path, target] : members) {
+            mutate(path, nullptr);
+            for (const auto& kind : kinds)
+                if (kind.kind() != target->kind()) mutate(path, &kind);
+            if (target->kind() == JsonValue::Kind::kNumber)
+                for (const double number : numbers) {
+                    const JsonValue value(number);
+                    mutate(path, &value);
+                }
+        }
+        EXPECT_GT(accepted, 0u) << file;
+        EXPECT_GT(rejected, 0u) << file;
+    }
 }

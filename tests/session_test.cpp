@@ -4,7 +4,6 @@
 // compiled preset.
 #include "session/session.hpp"
 
-#include "scenario/builder.hpp"
 #include "scenario/scenario_io.hpp"
 #include "util/contracts.hpp"
 #include "util/json.hpp"
@@ -25,14 +24,17 @@ namespace {
 /// A fast two-run scenario on the Figure 1 sample (tiny system, short
 /// horizon), as in scenario_test.
 ss::ScenarioSpec small_figure1(const std::string& name = "figure1-small") {
-    return ss::ScenarioBuilder(name)
-        .testbench(ss::Testbench::kFigure1)
-        .budgets({12, 18})
-        .replications(2)
-        .sizing_iterations(3)
-        .horizon(600.0, 60.0)
-        .seed(7)
-        .build();
+    ss::ScenarioSpec spec;
+    spec.name = name;
+    spec.testbench = ss::Testbench::kFigure1;
+    spec.budgets = {12, 18};
+    spec.replications = 2;
+    spec.sizing_iterations = 3;
+    spec.sim.horizon = 600.0;
+    spec.sim.warmup = 60.0;
+    spec.sim.seed = 7;
+    spec.validate();
+    return spec;
 }
 
 /// A network-processor scenario whose ingress-bus CTMDP lands on the VI
@@ -42,14 +44,17 @@ ss::ScenarioSpec small_figure1(const std::string& name = "figure1-small") {
 /// parallel_min_states (1024) — so a multi-thread session actually runs
 /// the executor-fanned Jacobi sweep on it.
 ss::ScenarioSpec vi_rung_np(const std::string& name = "np-vi-rung") {
-    return ss::ScenarioBuilder(name)
-        .testbench(ss::Testbench::kNetworkProcessor)
-        .budgets({160})
-        .replications(2)
-        .sizing_iterations(2)
-        .horizon(400.0, 40.0)
-        .seed(11)
-        .build();
+    ss::ScenarioSpec spec;
+    spec.name = name;
+    spec.testbench = ss::Testbench::kNetworkProcessor;
+    spec.budgets = {160};
+    spec.replications = 2;
+    spec.sizing_iterations = 2;
+    spec.sim.horizon = 400.0;
+    spec.sim.warmup = 40.0;
+    spec.sim.seed = 11;
+    spec.validate();
+    return spec;
 }
 
 }  // namespace

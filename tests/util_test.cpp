@@ -330,6 +330,24 @@ TEST(Json, NumbersAreLocaleIndependent) {
     EXPECT_EQ(parsed, 2.25);
 }
 
+TEST(Json, ParserRejectsDuplicateKeys) {
+    // A repeated member name would silently keep only the last value.
+    try {
+        (void)su::JsonValue::parse(
+            "{\"replications\": 0, \"replications\": 2}");
+        FAIL() << "expected JsonError";
+    } catch (const su::JsonError& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("duplicate key \"replications\""),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_THROW((void)su::JsonValue::parse("{\"a\": {\"b\": 1, \"b\": 1}}"),
+                 su::JsonError);
+    // The same name in sibling objects is no duplicate.
+    EXPECT_NO_THROW((void)su::JsonValue::parse("[{\"a\": 1}, {\"a\": 2}]"));
+}
+
 TEST(Json, ParserRejectsMalformedDocuments) {
     EXPECT_THROW((void)su::JsonValue::parse(""), su::JsonError);
     EXPECT_THROW((void)su::JsonValue::parse("{\"a\":1"), su::JsonError);
